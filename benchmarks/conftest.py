@@ -170,14 +170,16 @@ def knn_world(n: "int | None" = None, d: int = 6, mu: float = 10.0):
 
 
 def bench_knn(benchmark, *, strategy, criterion, k, n=None, d=6, mu=10.0):
-    """Benchmark one (strategy, criterion) kNN combination; attach quality."""
-    from repro.queries.knn import knn_query, knn_reference
+    """Benchmark one (strategy, criterion) combination of the paper's
+    incremental kNN (Figures 13-16); attach quality."""
+    from repro.experiments.incremental import incremental_knn
+    from repro.queries.knn import knn_reference
 
     tree, flat, queries = knn_world(n=n, d=d, mu=mu)
 
     def run():
         return [
-            knn_query(tree, query, k, criterion=criterion, strategy=strategy)
+            incremental_knn(tree, query, k, criterion=criterion, strategy=strategy)
             for query in queries
         ]
 

@@ -34,9 +34,7 @@ def test_index_substrate(benchmark, index_name):
     index = INDEXES[index_name]
 
     def run():
-        return [
-            knn_query(index, q, 10, algorithm="two-phase") for q in QUERIES
-        ]
+        return [knn_query(index, q, 10) for q in QUERIES]
 
     results = benchmark(run)
     benchmark.extra_info["index"] = index_name
@@ -44,10 +42,7 @@ def test_index_substrate(benchmark, index_name):
         sum(len(r) for r in results) / len(results), 1
     )
     # All three substrates answer identically (two-phase is exact).
-    reference = [
-        knn_query(INDEXES["linear"], q, 10, algorithm="two-phase").key_set()
-        for q in QUERIES
-    ]
+    reference = [knn_query(INDEXES["linear"], q, 10).key_set() for q in QUERIES]
     for got, expected in zip(results, reference):
         assert got.key_set() == expected
 

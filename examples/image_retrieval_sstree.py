@@ -47,7 +47,7 @@ def main() -> None:
     print("-" * len(header))
     for criterion in ("hyperbola", "minmax", "mbr", "gp"):
         started = time.perf_counter()
-        result = knn_query(tree, query, K, criterion=criterion, strategy="hs")
+        result = knn_query(tree, query, K, criterion=criterion)
         seconds = time.perf_counter() - started
         correct = len(result.key_set() & truth)
         print(

@@ -72,8 +72,8 @@ def main() -> None:
     tree = SSTree.bulk_load(fleet)
     dispatcher = Hypersphere(rng.uniform(10.0, 40.0, size=2), 0.8)
 
-    exact = knn_query(tree, dispatcher, K, criterion="hyperbola", strategy="hs")
-    loose = knn_query(tree, dispatcher, K, criterion="minmax", strategy="hs")
+    exact = knn_query(tree, dispatcher, K, criterion="hyperbola")
+    loose = knn_query(tree, dispatcher, K, criterion="minmax")
     truth = knn_reference(fleet, dispatcher, K)
 
     print(f"fleet of {len(fleet)} vehicles, dispatcher at "

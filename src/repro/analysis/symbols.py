@@ -3,8 +3,8 @@
 Per-file AST passes cannot answer two questions the DOM2xx rules need:
 
 - *does this helper charge the budget, possibly transitively?*
-  (``_depth_first`` recursion charges per node even though the
-  recursive call site itself mentions no ``Budget``), and
+  (a traversal whose per-node charges sit in a helper it calls
+  charges even though its own loop mentions no ``Budget``), and
 - *is this fault seam exercised by any chaos test?*  (the seam registry
   lives in ``robust/faults.py``; the coverage evidence lives under
   ``tests/``).

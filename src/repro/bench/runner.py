@@ -172,18 +172,17 @@ def _measure_knn(
     tree = SSTree.bulk_load(dataset.items())
     queries = knn_queries(dataset, count=int(params["queries"]), seed=seed)
     k = int(params["k"])
-    strategy = str(params["strategy"])
     criterion = str(params["criterion"])
     samples: "list[float]" = []
     for _ in range(repeats):
         for query in queries:
             started = time.perf_counter()
-            knn_query(tree, query, k, criterion=criterion, strategy=strategy)
+            knn_query(tree, query, k, criterion=criterion)
             samples.append(time.perf_counter() - started)
 
     def instrumented() -> None:
         for query in queries:
-            knn_query(tree, query, k, criterion=criterion, strategy=strategy)
+            knn_query(tree, query, k, criterion=criterion)
 
     return samples, repeats * len(queries), instrumented
 

@@ -49,33 +49,29 @@ _SWEEPS: "dict[str, dict[str, list[dict[str, object]]]]" = {
     "knn": {
         "quick": [
             _point(n=600, d=3, radius="gaussian", k=10, queries=15,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
             _point(n=600, d=3, radius="gaussian", k=10, queries=15,
-                   strategy="hs", criterion="cascade"),
-            _point(n=600, d=3, radius="gaussian", k=10, queries=15,
-                   strategy="df", criterion="hyperbola"),
+                   criterion="cascade"),
             _point(n=600, d=8, radius="gaussian", k=10, queries=15,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
             _point(n=600, d=3, radius="uniform", k=10, queries=15,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
         ],
         "full": [
             _point(n=600, d=3, radius="gaussian", k=10, queries=15,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
             _point(n=600, d=3, radius="gaussian", k=10, queries=15,
-                   strategy="hs", criterion="cascade"),
-            _point(n=600, d=3, radius="gaussian", k=10, queries=15,
-                   strategy="df", criterion="hyperbola"),
+                   criterion="cascade"),
             _point(n=600, d=8, radius="gaussian", k=10, queries=15,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
             _point(n=600, d=3, radius="uniform", k=10, queries=15,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
             _point(n=2500, d=3, radius="gaussian", k=10, queries=25,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
             _point(n=2500, d=3, radius="gaussian", k=50, queries=25,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
             _point(n=2500, d=16, radius="gaussian", k=10, queries=25,
-                   strategy="hs", criterion="hyperbola"),
+                   criterion="hyperbola"),
         ],
     },
     # Reverse-NN candidate generation (flat, pairwise pre-filter).

@@ -441,18 +441,6 @@ def _explain_main(argv: "Sequence[str]") -> int:
         help="dominance criterion name (default hyperbola)",
     )
     parser.add_argument(
-        "--strategy",
-        default="hs",
-        choices=("hs", "df"),
-        help="kNN traversal strategy (default hs)",
-    )
-    parser.add_argument(
-        "--algorithm",
-        default="incremental",
-        choices=("incremental", "two-phase"),
-        help="kNN algorithm (default incremental)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit the structured QueryExplain as JSON instead of the tree",
@@ -465,13 +453,7 @@ def _explain_main(argv: "Sequence[str]") -> int:
         if args.kind == "knn":
             tree = SSTree.bulk_load(dataset.items())
             explained = knn_query(
-                tree,
-                query,
-                args.k,
-                criterion=args.criterion,
-                strategy=args.strategy,
-                algorithm=args.algorithm,
-                explain=True,
+                tree, query, args.k, criterion=args.criterion, explain=True
             )
         elif args.kind == "rknn":
             index = LinearIndex(dataset.items())

@@ -18,7 +18,7 @@ and return a boolean array of shape ``(n,)``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "batch_trigonometric",
     "batch_hyperbola",
     "batch_evaluate",
+    "available_kernels",
 ]
 
 
@@ -317,6 +318,11 @@ _BATCH_KERNELS = {
     "trigonometric": batch_trigonometric,
     "hyperbola": batch_hyperbola,
 }
+
+
+def available_kernels() -> Iterator[str]:
+    """The criterion names with a batch kernel, sorted."""
+    return iter(sorted(_BATCH_KERNELS))
 
 
 def batch_evaluate(

@@ -20,7 +20,7 @@ dependency-free table.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from repro.core.base import get_criterion
 from repro.core.batch import batch_evaluate
 from repro.data.synthetic import synthetic_dataset
 from repro.data.workload import DominanceWorkload, knn_queries
+from repro.experiments.incremental import incremental_knn
 from repro.geometry.quartic import solve_quartic_real, solve_quartic_real_closed
 from repro.index.linear import LinearIndex
 from repro.index.mtree import MTree
 from repro.index.sstree import SSTree
 from repro.index.vptree import VPTree
-from repro.queries.knn import KNNResult, knn_query, knn_reference
+from repro.queries.knn import knn_query, knn_reference
 
 __all__ = ["run_ablations"]
 
@@ -91,9 +92,12 @@ def run_ablations(*, scale: float = 1.0, seed: int = 0) -> list[tuple]:
     flat = LinearIndex(dataset.items())
     queries = knn_queries(dataset, count=3, seed=seed)
     truths = [knn_reference(flat, q, 10).key_set() for q in queries]
-    for algorithm in ("incremental", "two-phase"):
-        def run(algo: str = algorithm) -> "list[KNNResult]":
-            return [knn_query(tree, q, 10, algorithm=algo) for q in queries]
+    for algorithm, query_fn in (
+        ("incremental", incremental_knn),
+        ("two-phase", knn_query),
+    ):
+        def run(fn: Callable[..., Any] = query_fn) -> "list[Any]":
+            return [fn(tree, q, 10) for q in queries]
 
         seconds = _timed(run, repeats=1)
         results = run()
@@ -107,7 +111,7 @@ def run_ablations(*, scale: float = 1.0, seed: int = 0) -> list[tuple]:
             ("knn-algorithm", algorithm, seconds, f"coverage {coverage:.1f}%")
         )
 
-    # Index substrate under the identical (two-phase) query algorithm.
+    # Index substrate under the identical (two-phase) served query.
     substrates = {
         "sstree": tree,
         "vptree": VPTree.build(dataset.items()),
@@ -116,9 +120,7 @@ def run_ablations(*, scale: float = 1.0, seed: int = 0) -> list[tuple]:
     }
     for label, index in substrates.items():
         seconds = _timed(
-            lambda idx=index: [
-                knn_query(idx, q, 10, algorithm="two-phase") for q in queries
-            ],
+            lambda idx=index: [knn_query(idx, q, 10) for q in queries],
             repeats=1,
         )
         rows.append(("index", label, seconds, f"{len(queries)} queries"))

@@ -18,6 +18,7 @@ from repro.core import get_criterion, min_margin, oracle_dominates
 from repro.core.batch import batch_evaluate
 from repro.data.synthetic import synthetic_dataset
 from repro.data.workload import DominanceWorkload
+from repro.experiments.incremental import incremental_knn
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
 from repro.index.sstree import SSTree
@@ -163,9 +164,9 @@ def _knn_guarantees(seed: int) -> list[Claim]:
     subset_ok = anchor_ok = exact_ok = superset_ok = True
     for query in queries:
         truth = knn_reference(flat, query, 10)
-        incremental = knn_query(tree, query, 10)
-        two_phase = knn_query(tree, query, 10, algorithm="two-phase")
-        loose = knn_query(tree, query, 10, criterion="minmax")
+        incremental = incremental_knn(tree, query, 10)
+        two_phase = knn_query(tree, query, 10)
+        loose = incremental_knn(tree, query, 10, criterion="minmax")
         subset_ok &= incremental.key_set() <= truth.key_set()
         anchor_ok &= abs(incremental.distk - truth.distk) < 1e-9
         exact_ok &= two_phase.key_set() == truth.key_set()
@@ -184,7 +185,7 @@ def _knn_guarantees(seed: int) -> list[Claim]:
         ),
         Claim(
             "Section 6",
-            "the two-phase variant equals Definition 2 exactly",
+            "served (two-phase) kNN equals Definition 2 exactly",
             exact_ok,
         ),
         Claim(

@@ -1,8 +1,9 @@
 """The kNN-query experiments (Section 7.2, Figures 13–16).
 
 For each dataset configuration the harness bulk-loads an SS-tree, draws
-query hyperspheres from the dataset, and runs the adapted kNN algorithm
-under every (traversal strategy x dominance criterion) combination the
+query hyperspheres from the dataset, and runs the paper's incremental
+kNN algorithm (:mod:`repro.experiments.incremental`) under every
+(traversal strategy x dominance criterion) combination the
 paper evaluates — DF/HS x {Hyperbola, MinMax, MBR, GP} (Trigonometric
 is excluded exactly as in the paper: it is not correct, so kNN answers
 based on it could miss true neighbours).
@@ -14,8 +15,9 @@ Reported per combination, averaged over the queries:
   Definition-2 answer (:func:`repro.queries.knn.knn_reference`);
 - *coverage* — |returned ∩ truth| / |truth|.  The paper asserts 100%
   recall by construction of its measurement; coverage quantifies the
-  intermediate-anchor pruning discussed in :mod:`repro.queries.knn` and
-  is reported alongside for transparency.
+  intermediate-anchor pruning discussed in
+  :mod:`repro.experiments.incremental` and is reported alongside for
+  transparency.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from repro.data.synthetic import Dataset
 from repro.data.workload import knn_queries
 from repro.exceptions import ExperimentError
 from repro.experiments.config import KNN_CRITERIA, KNN_STRATEGIES
+from repro.experiments.incremental import incremental_knn
 from repro.experiments.metrics import mean_and_std
 from repro.index.linear import LinearIndex
 from repro.index.sstree import SSTree
 from repro.obs.log import get_logger
-from repro.queries.knn import knn_query, knn_reference
+from repro.queries.knn import knn_reference
 
 __all__ = ["KNNMeasurement", "run_knn_experiment"]
 
@@ -85,7 +88,6 @@ def run_knn_experiment(
     queries: int = 20,
     criteria: tuple[str, ...] = KNN_CRITERIA,
     strategies: tuple[str, ...] = KNN_STRATEGIES,
-    algorithm: str = "incremental",
     max_entries: int = 16,
     seed: int | None = 0,
 ) -> list[KNNMeasurement]:
@@ -118,13 +120,8 @@ def run_knn_experiment(
             with obs.trace(names.knn_span(strategy, criterion)):
                 for query, truth in zip(query_spheres, truths):
                     started = time.perf_counter()
-                    result = knn_query(
-                        tree,
-                        query,
-                        k,
-                        criterion=criterion,
-                        strategy=strategy,
-                        algorithm=algorithm,
+                    result = incremental_knn(
+                        tree, query, k, criterion=criterion, strategy=strategy
                     )
                     samples.append(time.perf_counter() - started)
                     returned = result.key_set()

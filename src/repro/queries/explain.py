@@ -79,7 +79,7 @@ class QueryExplain:
 
     #: Query kind: ``"knn"``, ``"rknn"`` or ``"dominating"``.
     kind: str
-    #: Identifying parameters (k, criterion, strategy, algorithm, index).
+    #: Identifying parameters (k, criterion, index, overlay size, ...).
     params: "dict[str, Any]"
     #: Number of keys/scores in the answer.
     answer_size: int

@@ -6,47 +6,31 @@ the answer is every object of ``D`` **not dominated by** ``Sk`` with
 respect to ``Sq``.  (``Sk`` itself is always an answer, since nothing
 dominates itself.)
 
-The adapted tree algorithm maintains a best-known list ``L`` sorted by
-``MaxDist`` and, for every candidate ``S`` encountered once ``|L| >= k``
-(Lemmas 9 and 10), applies the paper's three cases against
-``distk`` (the k-th smallest ``MaxDist`` in ``L``):
+:func:`knn_query` answers it exactly, in two phases:
 
-- Case 1 — ``distmax <= distk``: insert ``S``; with the new ``Sk``,
-  evict every list member dominated by ``Sk``.
-- Case 2 — ``distmin <= distk < distmax``: keep ``S`` only if ``Sk``
-  does *not* dominate it.
-- Case 3 — ``distmin > distk``: prune ``S`` outright (Lemma 9 — this
-  prune is valid for *any* correct criterion, because it is exactly the
-  MinMax criterion, which is correct).
+1. **Find Sk.**  ``distk``, the k-th smallest ``MaxDist``, comes from a
+   best-first search on each node's ``MaxDist`` lower bound — exact
+   whatever the dominance criterion.  The objects attaining it are the
+   anchors ``Sk``.
+2. **Collect.**  A depth-first walk keeps every object no anchor
+   dominates.  A subtree or object whose ``MinDist`` exceeds ``distk``
+   is dominated by MinMax (Lemma 9), which is correct, so it is pruned
+   without asking the criterion; every other object with
+   ``MaxDist > distk`` goes to the criterion.
 
-The dominance checks in cases 1 and 2 are delegated to the configured
-criterion: with Hyperbola the answer is exact; with a non-sound
-criterion some dominated objects survive, which is precisely the
-precision loss the paper's Figures 13–16 measure.
+With Hyperbola the answer equals :func:`knn_reference`; with a
+correct-but-unsound criterion it is a superset.  A flat
+:class:`~repro.index.linear.LinearIndex` runs the same two phases as
+one vectorised sweep.  The paper's own single-pass best-known list
+(Section 6) prunes against intermediate anchors and so returns a subset
+of Definition 2; it is reproduced for the paper's figures in
+:mod:`repro.experiments.incremental`.
 
-Two traversals are provided, as in the paper's experiments:
-
-- ``"df"`` — depth-first (Roussopoulos et al.), children visited in
-  ascending ``MinDist`` order, subtrees pruned when their ``MinDist``
-  exceeds ``distk``;
-- ``"hs"`` — best-first (Hjaltason & Samet), a global priority queue on
-  ``MinDist``, terminating when the nearest pending node is prunable.
-
-A semantic note (measured in EXPERIMENTS.md): pruning against the
-*current* ``Sk`` is stronger than Definition 2, which only excludes
-objects dominated by the *final* ``Sk``.  Three properties still hold
-(the test suite asserts them):
-
-- the true ``Sk`` always survives — an anchor can never dominate it,
-  because domination implies a strictly larger ``MaxDist``;
-- hence the final cleanup filters with the true ``Sk`` and, with the
-  exact criterion, the answer is a *subset* of the Definition-2 answer
-  (precision 100%, the quantity the paper reports);
-- some Definition-2 answers may be pruned by intermediate anchors, so
-  coverage can be below 100%.  ``algorithm="two-phase"`` removes that
-  gap: it first finds ``Sk`` exactly (a classic best-first top-k by
-  ``MaxDist``), then collects every non-dominated object in a second
-  pruned traversal — exactly Definition 2 when run with Hyperbola.
+A streaming :class:`~repro.stream.overlay.DeltaOverlay` merges inside
+the scan, by one rule for tree and flat bases: memtable rows join
+phase 1's top-k and phase 2's collection (their distance bounds come
+from one vectorised sweep per query), and base rows whose key the
+overlay shadows are skipped.
 
 Resilience (``repro.resilience``)
 ---------------------------------
@@ -62,10 +46,11 @@ MinMax fallback decision) and is tallied on
 widen the answer, never silently narrow it.
 
 **Budgets (opt-in).**  When a :class:`repro.resilience.Budget` is
-active (:func:`repro.resilience.scope`), the traversal charges it per
-node and per entry.  On exhaustion the traversal stops, remaining
-dominance filtering degrades to the conservative MinMax tier, and the
-query returns a :class:`repro.resilience.PartialResult` wrapping the
+active (:func:`repro.resilience.scope`), the search charges it per
+node and per entry.  On exhaustion the traversal stops, the criterion
+filter is skipped for what is still collected (a conservative
+superset), and the query returns a
+:class:`repro.resilience.PartialResult` wrapping the
 :class:`KNNResult` together with a
 :class:`repro.resilience.ResilienceReport` (completeness, achieved
 guarantee tier, uncertain and absorbed-fault counts) — it never raises
@@ -75,13 +60,12 @@ behaviour are unchanged.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -89,7 +73,7 @@ from repro import obs
 from repro.obs import export as obs_export
 from repro.obs import names
 from repro.core.base import DominanceCriterion, get_criterion
-from repro.exceptions import QueryError
+from repro.exceptions import ValidationError
 from repro.geometry.distance import max_dist, min_dist
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
@@ -105,6 +89,10 @@ if TYPE_CHECKING:
     from repro.stream.overlay import DeltaOverlay
 
 __all__ = ["KNNResult", "knn_query", "knn_reference"]
+
+#: A row whose bounds one vectorised sweep computed (a memtable row or a
+#: flat-scan row): key, sphere, MaxDist, MinDist.
+_Row = tuple[object, Hypersphere, float, float]
 
 
 def _record_traversal(index: object, result: "KNNResult") -> None:
@@ -172,8 +160,8 @@ class KNNResult:
     #: Corrupted intermediates (non-finite bounds, raising kernels) the
     #: query layer detected and absorbed by refusing to prune.
     absorbed_faults: int = 0
-    #: Dominance filters that ran at the conservative MinMax tier or
-    #: were skipped outright because an execution budget ran out.
+    #: Objects kept without the criterion filter because an execution
+    #: budget ran out (the answer is then a conservative superset).
     degraded_checks: int = 0
 
     def __len__(self) -> int:
@@ -203,239 +191,27 @@ class KNNResult:
         }
 
 
-# ----------------------------------------------------------------------
-# Fault-absorbing bound evaluation.  Every helper maps a raising kernel
-# or a non-finite value to the *no-prune* direction and tallies it, so
-# corruption can only widen an answer.
-# ----------------------------------------------------------------------
-def _safe_node_min_dist(
-    node: object, query: Hypersphere, result: KNNResult
+def _safe(
+    bound: "Callable[[Any, Hypersphere], float]",
+    item: object,
+    query: Hypersphere,
+    fallback: float,
+    result: KNNResult,
 ) -> float:
-    try:
-        value = node.min_dist(query)  # type: ignore[attr-defined]
-    except ArithmeticError:
-        result.absorbed_faults += 1
-        return 0.0
-    if not math.isfinite(value):
-        result.absorbed_faults += 1
-        return 0.0
-    return float(value)
+    """``bound(item, query)``, fault-absorbing.
 
-
-def _safe_node_max_dist_lower_bound(
-    node: object, query: Hypersphere, result: KNNResult
-) -> float:
-    try:
-        value = node.max_dist_lower_bound(query)  # type: ignore[attr-defined]
-    except ArithmeticError:
-        result.absorbed_faults += 1
-        return 0.0
-    if not math.isfinite(value):
-        result.absorbed_faults += 1
-        return 0.0
-    return float(value)
-
-
-def _safe_sphere_max_dist(
-    sphere: Hypersphere, query: Hypersphere, result: KNNResult
-) -> float:
-    try:
-        value = max_dist(sphere, query)
-    except ArithmeticError:
-        result.absorbed_faults += 1
-        return math.inf
-    if not math.isfinite(value):
-        result.absorbed_faults += 1
-        return math.inf
-    return float(value)
-
-
-def _safe_sphere_min_dist(
-    sphere: Hypersphere, query: Hypersphere, result: KNNResult
-) -> float:
-    try:
-        value = min_dist(sphere, query)
-    except ArithmeticError:
-        result.absorbed_faults += 1
-        return 0.0
-    if not math.isfinite(value):
-        result.absorbed_faults += 1
-        return 0.0
-    return float(value)
-
-
-class _BestKnownList:
-    """The list ``L``: entries sorted by ``MaxDist`` to the query."""
-
-    def __init__(
-        self, k: int, query: Hypersphere, criterion: DominanceCriterion
-    ) -> None:
-        self._k = k
-        self._query = query
-        self._criterion = criterion
-        self._fallback = get_criterion("minmax")
-        self._degraded = criterion is self._fallback
-        # Parallel, maxdist-sorted storage; the tiebreaker keeps sort
-        # stability without ever comparing keys or spheres.
-        self._maxdists: list[float] = []
-        self._rows: list[tuple[float, int, object, Hypersphere]] = []
-        self._tiebreak = itertools.count()
-        self.dominance_checks = 0
-        self.pruned_case3 = 0
-        self.absorbed_faults = 0
-        self.degraded_checks = 0
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def distk(self) -> float:
-        """The k-th smallest ``MaxDist`` in L (inf while |L| < k)."""
-        if len(self._rows) < self._k:
-            return float("inf")
-        return self._maxdists[self._k - 1]
-
-    def degrade(self) -> None:
-        """Drop to the conservative MinMax tier for every later check.
-
-        Called when the execution budget runs out: MinMax is correct
-        (never mis-prunes), so all subsequent filtering stays safe while
-        costing O(d) instead of a quartic solve per pair.
-        """
-        self._criterion = self._fallback
-        self._degraded = True
-
-    def _kth_sphere(self) -> Hypersphere:
-        return self._rows[self._k - 1][3]
-
-    def _insert(self, dist_max: float, key: object, sphere: Hypersphere) -> None:
-        row = (dist_max, next(self._tiebreak), key, sphere)
-        at = bisect.bisect_left(self._rows, row)
-        self._rows.insert(at, row)
-        self._maxdists.insert(at, dist_max)
-
-    def _safe_max_dist(self, sphere: Hypersphere) -> float:
-        try:
-            value = max_dist(sphere, self._query)
-        except ArithmeticError:
-            self.absorbed_faults += 1
-            return math.inf
-        if not math.isfinite(value):
-            self.absorbed_faults += 1
-            return math.inf
-        return float(value)
-
-    def _safe_min_dist(self, sphere: Hypersphere) -> float:
-        try:
-            value = min_dist(sphere, self._query)
-        except ArithmeticError:
-            self.absorbed_faults += 1
-            return 0.0
-        if not math.isfinite(value):
-            self.absorbed_faults += 1
-            return 0.0
-        return float(value)
-
-    def _dominates(self, kth: Hypersphere, sphere: Hypersphere) -> bool:
-        """One guarded dominance check (the only place pruning can err).
-
-        A raising criterion falls back to MinMax; a raising fallback
-        answers ``False`` (keep) — both directions are conservative.
-        """
-        self.dominance_checks += 1
-        if self._degraded:
-            self.degraded_checks += 1
-        try:
-            return bool(self._criterion.dominates(kth, sphere, self._query))
-        except ArithmeticError:
-            self.absorbed_faults += 1
-        try:
-            return bool(self._fallback.dominates(kth, sphere, self._query))
-        except ArithmeticError:
-            self.absorbed_faults += 1
-            return False
-
-    def offer(self, key: object, sphere: Hypersphere) -> None:
-        """Process one candidate through the paper's three cases."""
-        dist_max = self._safe_max_dist(sphere)
-        if len(self._rows) < self._k:
-            self._insert(dist_max, key, sphere)
-            return
-        distk = self.distk
-        dist_min = self._safe_min_dist(sphere)
-        if dist_min > distk:  # Case 3
-            self.pruned_case3 += 1
-            return
-        if dist_max <= distk:  # Case 1
-            self._insert(dist_max, key, sphere)
-            self._evict_dominated()
-            return
-        # Case 2: distmin <= distk < distmax.
-        if not self._dominates(self._kth_sphere(), sphere):
-            self._insert(dist_max, key, sphere)
-
-    def _evict_dominated(self) -> None:
-        """Drop every member dominated by the (new) k-th hypersphere."""
-        kth = self._kth_sphere()
-        survivors = []
-        for i, row in enumerate(self._rows):
-            if i < self._k:  # the first k define distk; Sk never self-dominates
-                survivors.append(row)
-                continue
-            if not self._dominates(kth, row[3]):
-                survivors.append(row)
-        if len(survivors) != len(self._rows):
-            self._rows = survivors
-            self._maxdists = [row[0] for row in survivors]
-
-    def finalize(self) -> tuple[list, list[Hypersphere], float]:
-        """Final cleanup pass: re-apply dominance by the final Sk."""
-        if len(self._rows) < self._k:
-            return (
-                [row[2] for row in self._rows],
-                [row[3] for row in self._rows],
-                float("inf"),
-            )
-        kth = self._kth_sphere()
-        keys, spheres = [], []
-        for i, row in enumerate(self._rows):
-            if i >= self._k:
-                if self._dominates(kth, row[3]):
-                    continue
-            keys.append(row[2])
-            spheres.append(row[3])
-        return keys, spheres, self.distk
-
-
-class _ShadowedOffers:
-    """Offer filter that hides overlay-shadowed base entries.
-
-    A streaming overlay (:mod:`repro.stream.overlay`) tombstones or
-    re-inserts keys whose base-index copies must not participate in the
-    answer.  The traversals only need ``offer`` and ``distk``, so this
-    thin proxy drops shadowed candidates before they ever reach the
-    best-known list — everything that survives runs through the exact
-    same certified cascade.
+    A raising kernel or a non-finite value maps to *fallback* — the
+    no-prune direction (0 for a MinDist-like bound, ``inf`` for a
+    MaxDist) — and is tallied, so corruption can only widen an answer.
     """
-
-    __slots__ = ("_best", "_shadowed", "tombstone_hits")
-
-    def __init__(
-        self, best: _BestKnownList, shadowed: "frozenset[object]"
-    ) -> None:
-        self._best = best
-        self._shadowed = shadowed
-        self.tombstone_hits = 0
-
-    @property
-    def distk(self) -> float:
-        return self._best.distk
-
-    def offer(self, key: object, sphere: Hypersphere) -> None:
-        if key in self._shadowed:
-            self.tombstone_hits += 1
-            return
-        self._best.offer(key, sphere)
+    try:
+        value = float(bound(item, query))
+    except ArithmeticError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    result.absorbed_faults += 1
+    return fallback
 
 
 def _wrap_partial(result: KNNResult, budget: Budget) -> PartialResult:
@@ -446,7 +222,7 @@ def _wrap_partial(result: KNNResult, budget: Budget) -> PartialResult:
         report.mark_incomplete(reason)
     if result.degraded_checks:
         report.mark_conservative(
-            "dominance filtering degraded to the MinMax tier"
+            "dominance filtering skipped once the budget ran out"
         )
     report.uncertain = result.uncertain_decisions
     report.absorbed_faults = result.absorbed_faults
@@ -464,8 +240,6 @@ def knn_query(
     k: int,
     *,
     criterion: "DominanceCriterion | str" = "hyperbola",
-    strategy: str = "hs",
-    algorithm: str = "incremental",
     explain: bool = False,
     overlay: "DeltaOverlay | None" = None,
 ) -> "KNNResult | PartialResult | ExplainedResult":
@@ -474,11 +248,12 @@ def knn_query(
     Parameters
     ----------
     index:
-        An :class:`~repro.index.sstree.SSTree` or
-        :class:`~repro.index.vptree.VPTree` (traversed with pruning), or
-        a :class:`~repro.index.linear.LinearIndex` (scanned).  Any tree
-        whose nodes expose ``is_leaf`` / ``entries`` / ``children`` /
-        ``min_dist`` / ``max_dist_lower_bound`` works.
+        An :class:`~repro.index.sstree.SSTree`,
+        :class:`~repro.index.vptree.VPTree` or
+        :class:`~repro.index.mtree.MTree` (searched with pruning), or a
+        :class:`~repro.index.linear.LinearIndex` (one vectorised sweep).
+        Any tree whose nodes expose ``is_leaf`` / ``entries`` /
+        ``children`` / ``min_dist`` / ``max_dist_lower_bound`` works.
     query:
         The query hypersphere ``Sq``.
     k:
@@ -486,22 +261,11 @@ def knn_query(
     criterion:
         Dominance criterion instance or registry name.  Hyperbola gives
         the exact answer; correct-but-unsound criteria return supersets.
-    strategy:
-        ``"hs"`` (best-first) or ``"df"`` (depth-first); ignored for a
-        linear index.
-    algorithm:
-        ``"incremental"`` — the paper's single-pass best-known list
-        (Section 6), or ``"two-phase"`` — the Definition-2-exact
-        variant (find ``Sk`` first, then collect survivors).
     overlay:
         An optional :class:`repro.stream.overlay.DeltaOverlay` of
-        streaming mutations to merge at query time.  Base entries whose
-        key is tombstoned or re-inserted are excluded; memtable entries
-        run through the same certified cascade as base entries.  With
-        ``algorithm="two-phase"`` the effective dataset is materialised
-        and answered exactly (Definition 2 over base ⊖ shadowed ⊕
-        memtable); the incremental path offers memtable entries first
-        and shadow-filters the traversal.
+        streaming mutations to merge at query time: the answer is
+        Definition 2 over base ⊖ shadowed ⊕ memtable.  Memtable entries
+        run through the same certified cascade as base entries.
     explain:
         When true, run the query under a private enabled obs scope and
         return an :class:`~repro.queries.explain.ExplainedResult`
@@ -521,25 +285,10 @@ def knn_query(
     """
     if overlay is not None and not overlay:
         overlay = None  # an empty overlay merges to the plain query
-    if overlay is None:
-        k = validate_k(k, len(index))
-        validate_query(query, index.dimension)
-    elif algorithm == "two-phase":
-        validate_query(query, index.dimension)
-        # Materialise the effective dataset once: the two-phase path is
-        # Definition-2-exact over whatever index it scans, so folding
-        # keeps exactness while making the merge trivial.
-        folded = overlay.fold(iter(index))
-        k = validate_k(k, len(folded))
-        index = LinearIndex(folded)
-        if obs.ENABLED:
-            obs.incr(names.STREAM_MERGED_QUERIES)
-        overlay = None
-    else:
-        validate_query(query, index.dimension)
-        shadowed = overlay.shadowed_keys()
-        live = sum(1 for key, _ in index if key not in shadowed)
-        k = validate_k(k, live + len(overlay))
+    # Shadowed base rows are only known during the scan, which raises
+    # the same error when fewer than k rows turn out to be live.
+    k = validate_k(k, len(index) + (len(overlay) if overlay is not None else 0))
+    validate_query(query, index.dimension)
     if isinstance(criterion, str):
         criterion = get_criterion(criterion)
     event_log = obs_export.current_event_log()
@@ -547,27 +296,20 @@ def knn_query(
         params = {
             "k": k,
             "criterion": criterion.name,
-            "strategy": strategy,
-            "algorithm": algorithm,
             "index": type(index).__name__,
         }
         if overlay is not None:
             params["overlay"] = len(overlay)
         with explain_capture() as capture:
-            outcome = _run_knn(
-                index, query, k, criterion, strategy, algorithm,
-                levels=capture.levels, overlay=overlay,
-            )
+            outcome = _run_knn(index, query, k, criterion, overlay, capture.levels)
             detail = capture.finish("knn", params, outcome)
         if event_log is not None:
             event_log.emit_outcome("knn", outcome, detail.duration_s)
         return ExplainedResult(outcome, detail)
     if event_log is None:
-        return _run_knn(index, query, k, criterion, strategy, algorithm,
-                        overlay=overlay)
+        return _run_knn(index, query, k, criterion, overlay)
     started = time.perf_counter()
-    outcome = _run_knn(index, query, k, criterion, strategy, algorithm,
-                       overlay=overlay)
+    outcome = _run_knn(index, query, k, criterion, overlay)
     event_log.emit_outcome("knn", outcome, time.perf_counter() - started)
     return outcome
 
@@ -577,146 +319,158 @@ def _run_knn(
     query: Hypersphere,
     k: int,
     criterion: DominanceCriterion,
-    strategy: str,
-    algorithm: str,
-    levels: "dict[int, int] | None" = None,
     overlay: "DeltaOverlay | None" = None,
+    levels: "dict[int, int] | None" = None,
 ) -> "KNNResult | PartialResult":
     """The validated query body (see :func:`knn_query` for semantics)."""
     budget = current_budget()
     if budget is not None:
         budget.start()
-    if algorithm == "two-phase":
-        # knn_query folds an overlay into a LinearIndex before reaching
-        # this branch, so the two-phase body never sees one.
-        result = _knn_two_phase(
-            index, query, k, criterion, strategy, budget, levels
-        )
-        return result if budget is None else _wrap_partial(result, budget)
-    if algorithm != "incremental":
-        raise QueryError(
-            f"unknown algorithm {algorithm!r}; use 'incremental' or 'two-phase'"
-        )
-
-    best = _BestKnownList(k, query, criterion)
-    result = KNNResult(keys=[], spheres=[], distk=float("inf"))
+    result = KNNResult(keys=[], spheres=[], distk=math.inf)
     uncertain_before = _uncertain_count(criterion)
-
-    offers: "_BestKnownList | _ShadowedOffers" = best
+    shadowed: "frozenset[object]" = frozenset()
+    memtable: "list[_Row]" = []
+    cut = False
     if overlay is not None:
-        # Memtable entries go first: a deterministic offer order, and
-        # distk can only shrink, so every later Case-3 prune stays valid.
-        if budget is None:
-            for key, sphere in overlay.entries():
-                result.entries_considered += 1
-                best.offer(key, sphere)
-        else:
-            for key, sphere in overlay.entries():
-                if budget.charge_candidate() is not None:
-                    break
-                result.entries_considered += 1
-                best.offer(key, sphere)
         shadowed = overlay.shadowed_keys()
-        if shadowed:
-            offers = _ShadowedOffers(best, shadowed)
-        if obs.ENABLED:
-            obs.incr(names.STREAM_MERGED_QUERIES)
-
+        keys: "list[object]" = []
+        spheres: "list[Hypersphere]" = []
+        # One candidate charge per memtable row, as for a flat scan.
+        for key, sphere in overlay.entries():
+            if budget is not None and budget.charge_candidate() is not None:
+                cut = True
+                break
+            keys.append(key)
+            spheres.append(sphere)
+        if spheres:
+            centers = np.array([sphere.center for sphere in spheres])
+            radii = np.array([sphere.radius for sphere in spheres])
+            memtable = _rows(keys, spheres, centers, radii, query, result)
     if isinstance(index, LinearIndex):
-        if budget is None:
-            for key, sphere in index:
-                result.entries_considered += 1
-                offers.offer(key, sphere)
-        else:
-            for key, sphere in index:
-                if budget.charge_candidate() is not None:
-                    break
-                result.entries_considered += 1
-                offers.offer(key, sphere)
-    elif strategy == "df":
-        _depth_first(index.root, query, offers, result, budget, levels=levels)
-    elif strategy == "hs":
-        _best_first(index.root, query, offers, result, budget, levels=levels)
+        hits = _scan_linear(
+            index, query, k, criterion, result, budget, shadowed, memtable, cut
+        )
     else:
-        raise QueryError(f"unknown strategy {strategy!r}; use 'df' or 'hs'")
-
-    if isinstance(offers, _ShadowedOffers) and obs.ENABLED:
-        if offers.tombstone_hits:
-            obs.incr(names.STREAM_TOMBSTONE_HITS, offers.tombstone_hits)
-
-    if budget is not None and budget.exhausted() is not None:
-        # Out of budget: the remaining filtering work (the finalize
-        # pass) degrades to the conservative MinMax tier.
-        best.degrade()
-    result.keys, result.spheres, result.distk = best.finalize()
-    result.dominance_checks = best.dominance_checks
-    result.pruned_case3 = best.pruned_case3
-    result.absorbed_faults += best.absorbed_faults
-    result.degraded_checks += best.degraded_checks
+        hits = _search_tree(
+            index.root, query, k, criterion, result, budget, levels,
+            shadowed, memtable, cut,
+        )
     result.uncertain_decisions = _uncertain_count(criterion) - uncertain_before
+    if overlay is not None and obs.ENABLED:
+        obs.incr(names.STREAM_MERGED_QUERIES)
+        if hits:
+            obs.incr(names.STREAM_TOMBSTONE_HITS, hits)
     _record_traversal(index, result)
     if budget is None:
         return result
     return _wrap_partial(result, budget)
 
 
-def _depth_first(
-    node: SSTreeNode,
+def _rows(
+    keys: "Sequence[object]",
+    spheres: "Sequence[Hypersphere]",
+    centers: np.ndarray,
+    radii: np.ndarray,
     query: Hypersphere,
-    best: "_BestKnownList | _ShadowedOffers",
     result: KNNResult,
-    budget: "Budget | None" = None,
-    depth: int = 0,
-    levels: "dict[int, int] | None" = None,
-) -> bool:
-    """Visit *node*; returns ``False`` when the budget ran out (stop)."""
-    if budget is not None and budget.charge_node() is not None:
-        return False
-    result.nodes_visited += 1
-    if levels is not None:
-        levels[depth] = levels.get(depth, 0) + 1
-    if node.is_leaf:
-        for key, sphere in node.entries:
-            if budget is not None and budget.charge_candidate() is not None:
-                return False
-            result.entries_considered += 1
-            best.offer(key, sphere)
-        return True
-    ranked = sorted(
-        (
-            (_safe_node_min_dist(child, query, result), i)
-            for i, child in enumerate(node.children)
-        ),
-    )
-    for gap, i in ranked:
-        # Subtree version of Case 3: every object below has at least this
-        # MinDist, so the whole branch is prunable.
-        if gap > best.distk:
-            continue
-        if not _depth_first(
-            node.children[i], query, best, result, budget, depth + 1, levels
-        ):
-            return False
-    return True
+) -> "list[_Row]":
+    """Rows with their distance bounds, from one vectorised sweep.
+
+    The bounds are computed as
+    :meth:`~repro.index.linear.LinearIndex.max_dists` does; a
+    non-finite MaxDist is absorbed like :func:`_safe` absorbs one.
+    """
+    gaps = np.linalg.norm(centers - query.center, axis=1)
+    dist_max = gaps + radii + query.radius
+    dist_min = np.maximum(gaps - radii - query.radius, 0.0)
+    corrupt = ~np.isfinite(dist_max)
+    if corrupt.any():
+        result.absorbed_faults += int(corrupt.sum())
+        dist_max[corrupt], dist_min[corrupt] = math.inf, 0.0
+    return list(zip(keys, spheres, dist_max.tolist(), dist_min.tolist()))
 
 
-def _best_first(
+def _kth(
+    top: "list[tuple[float, int, Hypersphere]]", k: int, cut: bool
+) -> "tuple[float, list[Hypersphere]]":
+    """``(distk, anchors)`` from phase 1's top-k max-heap.
+
+    When the budget cut phase 1 short the found distk is only an
+    *upper* bound on the true one: Case-3 pruning against it stays safe
+    (MinDist > distk' >= distk), but the found anchors may not be the
+    true Sk, so there are none and phase 2 skips the criterion filter.
+    """
+    if len(top) < k:
+        if not cut:
+            raise ValidationError(f"k={k} exceeds the dataset size {len(top)}")
+        return math.inf, []
+    distk = -top[0][0]
+    return distk, ([] if cut else [s for neg, _, s in top if -neg == distk])
+
+
+def _collector(
+    query: Hypersphere,
+    criterion: DominanceCriterion,
+    result: KNNResult,
+    budget: "Budget | None",
+    distk: float,
+    anchors: "list[Hypersphere]",
+) -> "Callable[[object, Hypersphere, float], None]":
+    """Phase 2's rule for one object: keep it unless ``Sk`` dominates it."""
+    keys, spheres = result.keys, result.spheres
+
+    def collect(key: object, sphere: Hypersphere, dist_max: float) -> None:
+        if dist_max > distk:
+            if _safe(min_dist, sphere, query, 0.0, result) > distk:
+                result.pruned_case3 += 1
+                return
+            if anchors and (budget is None or budget.exhausted() is None):
+                result.dominance_checks += len(anchors)
+                if _any_anchor_dominates(anchors, sphere, query, criterion, result):
+                    return
+            else:
+                # No trustworthy Sk, or no budget left for the filter:
+                # keep — a conservative superset, never a wrong cut.
+                result.degraded_checks += 1
+        keys.append(key)
+        spheres.append(sphere)
+
+    return collect
+
+
+def _search_tree(
     root: SSTreeNode,
     query: Hypersphere,
-    best: "_BestKnownList | _ShadowedOffers",
+    k: int,
+    criterion: DominanceCriterion,
     result: KNNResult,
-    budget: "Budget | None" = None,
-    levels: "dict[int, int] | None" = None,
-) -> None:
-    counter = itertools.count()
-    heap: list[tuple[float, int, SSTreeNode, int]] = [
-        (_safe_node_min_dist(root, query, result), next(counter), root, 0)
+    budget: "Budget | None",
+    levels: "dict[int, int] | None",
+    shadowed: "frozenset[object]",
+    memtable: "list[_Row]",
+    cut: bool,
+) -> int:
+    """Both phases over a tree; returns the shadowed base rows skipped."""
+    # Phase 1: the k-th smallest MaxDist via best-first search on the
+    # MaxDist lower bound (exact regardless of the dominance criterion).
+    tiebreak = itertools.count()
+    top: "list[tuple[float, int, Hypersphere]]" = []  # max-heap via negation
+    for _, sphere, dist_max, _ in memtable:
+        _offer(top, k, dist_max, sphere, tiebreak)
+    heap = [
+        (
+            _safe(type(root).max_dist_lower_bound, root, query, 0.0, result),
+            next(tiebreak),
+            root,
+            0,
+        )
     ]
-    while heap:
-        lower_bound, _, node, depth = heapq.heappop(heap)
-        if lower_bound > best.distk:
-            break  # every remaining node is at least this far: all prunable
+    while heap and not cut:
+        bound, _, node, depth = heapq.heappop(heap)
+        if len(top) == k and bound > -top[0][0]:
+            break
         if budget is not None and budget.charge_node() is not None:
+            cut = True
             break
         result.nodes_visited += 1
         if levels is not None:
@@ -724,129 +478,35 @@ def _best_first(
         if node.is_leaf:
             for key, sphere in node.entries:
                 if budget is not None and budget.charge_candidate() is not None:
-                    return
-                result.entries_considered += 1
-                best.offer(key, sphere)
-        else:
-            for child in node.children:
-                gap = _safe_node_min_dist(child, query, result)
-                if gap <= best.distk:
-                    heapq.heappush(heap, (gap, next(counter), child, depth + 1))
-
-
-def _knn_two_phase(
-    index: "SSTree | VPTree | LinearIndex",
-    query: Hypersphere,
-    k: int,
-    criterion: DominanceCriterion,
-    strategy: str,
-    budget: "Budget | None" = None,
-    levels: "dict[int, int] | None" = None,
-) -> KNNResult:
-    """The Definition-2-exact variant: find ``Sk`` first, then collect."""
-    result = KNNResult(keys=[], spheres=[], distk=float("inf"))
-    uncertain_before = _uncertain_count(criterion)
-
-    if isinstance(index, LinearIndex):
-        maxdists = index.max_dists(query)
-        distk = float(np.partition(maxdists, k - 1)[k - 1])
-        anchors = [index.spheres[i] for i in np.flatnonzero(maxdists == distk)]
-        result.entries_considered = len(index)
-        if budget is not None:
-            # The vectorised scan considers every entry in one sweep.
-            budget.charge_candidate(len(index))
-        candidates = zip(index.keys, index.spheres, maxdists)
-        for key, sphere, dist_max in candidates:
-            if dist_max <= distk:
-                result.keys.append(key)
-                result.spheres.append(sphere)
-                continue
-            if budget is not None and budget.exhausted() is not None:
-                # Out of budget: skip the criterion filter and keep the
-                # candidate — a conservative superset, never a wrong cut.
-                result.degraded_checks += 1
-                result.keys.append(key)
-                result.spheres.append(sphere)
-                continue
-            result.dominance_checks += len(anchors)
-            if not _any_anchor_dominates(anchors, sphere, query, criterion, result):
-                result.keys.append(key)
-                result.spheres.append(sphere)
-        result.distk = distk
-        result.uncertain_decisions = _uncertain_count(criterion) - uncertain_before
-        _record_traversal(index, result)
-        return result
-
-    if strategy not in ("hs", "df"):
-        raise QueryError(f"unknown strategy {strategy!r}; use 'df' or 'hs'")
-
-    # Phase 1: the k-th smallest MaxDist via best-first search on the
-    # MaxDist lower bound (exact regardless of the dominance criterion).
-    counter = itertools.count()
-    heap: list[tuple[float, int, SSTreeNode, int]] = [
-        (
-            _safe_node_max_dist_lower_bound(index.root, query, result),
-            next(counter),
-            index.root,
-            0,
-        )
-    ]
-    top: list[tuple[float, int, Hypersphere]] = []  # max-heap via negation
-    phase1_cut = False
-    while heap:
-        bound, _, node, depth = heapq.heappop(heap)
-        if len(top) == k and bound > -top[0][0]:
-            break
-        if budget is not None and budget.charge_node() is not None:
-            phase1_cut = True
-            break
-        result.nodes_visited += 1
-        if levels is not None:
-            levels[depth] = levels.get(depth, 0) + 1
-        if node.is_leaf:
-            for _, sphere in node.entries:
-                if budget is not None and budget.charge_candidate() is not None:
-                    phase1_cut = True
+                    cut = True
                     break
-                dist_max = _safe_sphere_max_dist(sphere, query, result)
-                if len(top) < k:
-                    heapq.heappush(top, (-dist_max, next(counter), sphere))
-                elif dist_max < -top[0][0]:
-                    heapq.heapreplace(top, (-dist_max, next(counter), sphere))
-            if phase1_cut:
-                break
+                if key not in shadowed:
+                    dist_max = _safe(max_dist, sphere, query, math.inf, result)
+                    _offer(top, k, dist_max, sphere, tiebreak)
         else:
             for child in node.children:
-                child_bound = _safe_node_max_dist_lower_bound(child, query, result)
+                child_bound = _safe(
+                    type(child).max_dist_lower_bound, child, query, 0.0, result
+                )
                 if len(top) < k or child_bound <= -top[0][0]:
                     heapq.heappush(
-                        heap, (child_bound, next(counter), child, depth + 1)
+                        heap, (child_bound, next(tiebreak), child, depth + 1)
                     )
-    if len(top) < k:
-        # The budget cut phase 1 before k objects were even seen; with
-        # no usable distk nothing can be pruned safely.
-        distk = math.inf
-        anchors: list[Hypersphere] = []
-    else:
-        distk = -top[0][0]
-        # When phase 1 was cut short the found distk is only an *upper*
-        # bound on the true one: Case-3 pruning against it stays safe
-        # (MinDist > distk' >= distk), but the found anchors may not be
-        # the true Sk, so the criterion filter must be skipped.
-        anchors = (
-            [] if phase1_cut else [s for neg, _, s in top if -neg == distk]
-        )
+    distk, anchors = _kth(top, k, cut)
+    result.distk = distk
 
     # Phase 2: collect every object not dominated by Sk.  A subtree with
     # MinDist > distk is entirely dominated via MinMax (Lemma 9).
-    stack: "list[tuple[SSTreeNode, int]]" = [(index.root, 0)]
-    stopped = False
+    collect = _collector(query, criterion, result, budget, distk, anchors)
+    _collect_rows(memtable, distk, collect, result)
+    result.entries_considered += len(memtable)
+    hits = 0
+    stack: "list[tuple[SSTreeNode, int]]" = [(root, 0)]
     while stack:
         node, depth = stack.pop()
-        if stopped or (budget is not None and budget.charge_node() is not None):
-            stopped = True
+        if budget is not None and budget.charge_node() is not None:
             break
-        if _safe_node_min_dist(node, query, result) > distk:
+        if _safe(type(node).min_dist, node, query, 0.0, result) > distk:
             result.pruned_case3 += 1
             continue
         result.nodes_visited += 1
@@ -855,39 +515,78 @@ def _knn_two_phase(
         if node.is_leaf:
             for key, sphere in node.entries:
                 if budget is not None and budget.charge_candidate() is not None:
-                    stopped = True
+                    stack.clear()
                     break
                 result.entries_considered += 1
-                dist_max = _safe_sphere_max_dist(sphere, query, result)
-                if dist_max <= distk:
-                    result.keys.append(key)
-                    result.spheres.append(sphere)
+                if key in shadowed:
+                    hits += 1
                     continue
-                if _safe_sphere_min_dist(sphere, query, result) > distk:
-                    result.pruned_case3 += 1
-                    continue
-                if not anchors:
-                    # No trustworthy Sk (budget cut phase 1): keep — a
-                    # conservative superset over the visited region.
-                    if phase1_cut:
-                        result.degraded_checks += 1
-                    result.keys.append(key)
-                    result.spheres.append(sphere)
-                    continue
-                result.dominance_checks += len(anchors)
-                if not _any_anchor_dominates(
-                    anchors, sphere, query, criterion, result
-                ):
-                    result.keys.append(key)
-                    result.spheres.append(sphere)
-            if stopped:
-                break
+                collect(key, sphere, _safe(max_dist, sphere, query, math.inf, result))
         else:
             stack.extend((child, depth + 1) for child in node.children)
+    return hits
+
+
+def _collect_rows(
+    rows: "list[_Row]",
+    distk: float,
+    collect: "Callable[[object, Hypersphere, float], None]",
+    result: KNNResult,
+) -> None:
+    """Phase 2 over rows with known bounds, Case 3 settled by MinDist."""
+    for key, sphere, dist_max, dist_min in rows:
+        if dist_min > distk:
+            result.pruned_case3 += 1
+        else:
+            collect(key, sphere, dist_max)
+
+
+def _offer(
+    top: "list[tuple[float, int, Hypersphere]]",
+    k: int,
+    dist_max: float,
+    sphere: Hypersphere,
+    tiebreak: "itertools.count[int]",
+) -> None:
+    """Keep *sphere* in phase 1's top-k if it is among the k nearest."""
+    if len(top) < k:
+        heapq.heappush(top, (-dist_max, next(tiebreak), sphere))
+    elif dist_max < -top[0][0]:
+        heapq.heapreplace(top, (-dist_max, next(tiebreak), sphere))
+
+
+def _scan_linear(
+    index: LinearIndex,
+    query: Hypersphere,
+    k: int,
+    criterion: DominanceCriterion,
+    result: KNNResult,
+    budget: "Budget | None",
+    shadowed: "frozenset[object]",
+    memtable: "list[_Row]",
+    cut: bool,
+) -> int:
+    """Both phases as one vectorised sweep; returns the rows skipped."""
+    if budget is not None:
+        # The vectorised scan considers every entry in one sweep.
+        budget.charge_candidate(len(index))
+    rows = _rows(
+        index.keys, index.spheres, index.centers, index.radii, query, result
+    )
+    rows = [row for row in rows if row[0] not in shadowed] + memtable
+    if len(rows) < k:
+        if not cut:
+            raise ValidationError(f"k={k} exceeds the dataset size {len(rows)}")
+        distk, anchors = math.inf, []
+    else:
+        distk = heapq.nsmallest(k, [row[2] for row in rows])[-1]
+        # Every row attaining distk is an anchor (as in knn_reference).
+        anchors = [] if cut else [row[1] for row in rows if row[2] == distk]
     result.distk = distk
-    result.uncertain_decisions = _uncertain_count(criterion) - uncertain_before
-    _record_traversal(index, result)
-    return result
+    result.entries_considered = len(index) + len(memtable)
+    collect = _collector(query, criterion, result, budget, distk, anchors)
+    _collect_rows(rows, distk, collect, result)
+    return len(index) + len(memtable) - len(rows)
 
 
 def _any_anchor_dominates(
@@ -897,7 +596,11 @@ def _any_anchor_dominates(
     criterion: DominanceCriterion,
     result: KNNResult,
 ) -> bool:
-    """Guarded ``any(dominates)`` over the anchors (see _BestKnownList)."""
+    """Guarded ``any(dominates)`` over the anchors.
+
+    A raising criterion falls back to MinMax; a raising fallback
+    answers ``False`` (keep) — both directions are conservative.
+    """
     fallback = None
     for anchor in anchors:
         try:

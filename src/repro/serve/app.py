@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Mapping
 
 from repro import obs
+from repro.core.base import available_criteria
+from repro.core.batch import available_kernels
 from repro.exceptions import (
     ProtocolError,
     ReproError,
@@ -828,15 +830,16 @@ def _parse_query_payload(payload: "dict[str, Any]") -> "dict[str, Any]":
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     criterion = payload.get("criterion", "hyperbola")
-    if not isinstance(criterion, str):
-        raise ValidationError(f"criterion must be a string, got {criterion!r}")
-    strategy = payload.get("strategy", "hs")
-    if strategy not in ("hs", "df"):
-        raise ValidationError(f"strategy must be 'hs' or 'df', got {strategy!r}")
-    algorithm = payload.get("algorithm", "incremental")
-    if algorithm not in ("incremental", "two-phase"):
+    # Top-k dominating scores through a batch kernel; knn and rknn call
+    # the criterion itself.  A name the kind cannot run is the client's
+    # error, caught here rather than as a crash inside the executor.
+    runnable = tuple(
+        available_kernels() if kind == "dominating" else available_criteria()
+    )
+    if criterion not in runnable:
         raise ValidationError(
-            f"algorithm must be 'incremental' or 'two-phase', got {algorithm!r}"
+            f"criterion for a {kind} query must be one of "
+            f"{', '.join(runnable)}; got {criterion!r}"
         )
     return {
         "kind": kind,
@@ -844,8 +847,6 @@ def _parse_query_payload(payload: "dict[str, Any]") -> "dict[str, Any]":
         "query": query,
         "k": k,
         "criterion": criterion,
-        "strategy": strategy,
-        "algorithm": algorithm,
     }
 
 
@@ -864,11 +865,7 @@ def _execute_query(state: IndexState, params: "dict[str, Any]") -> Any:
         # overlay) pair under its lock and merges at query time.
         if kind == "knn":
             return stream.query_knn(
-                params["query"],
-                params["k"],
-                criterion=params["criterion"],
-                strategy=params["strategy"],
-                algorithm=params["algorithm"],
+                params["query"], params["k"], criterion=params["criterion"]
             )
         if kind == "rknn":
             return stream.query_rknn(
@@ -880,12 +877,7 @@ def _execute_query(state: IndexState, params: "dict[str, Any]") -> Any:
     assert state.index is not None and state.flat is not None
     if kind == "knn":
         return knn_query(
-            state.index,
-            params["query"],
-            params["k"],
-            criterion=params["criterion"],
-            strategy=params["strategy"],
-            algorithm=params["algorithm"],
+            state.index, params["query"], params["k"], criterion=params["criterion"]
         )
     if kind == "rknn":
         return rnn_candidates(

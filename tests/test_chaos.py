@@ -18,12 +18,14 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.data.synthetic import synthetic_dataset
 from repro.data.workload import knn_queries
 from repro.exceptions import SnapshotError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index import snapshot as snap
 from repro.index.sstree import SSTree
+from repro.obs import names
 from repro.queries.dominating import dominance_scores
 from repro.queries.knn import knn_query
 from repro.queries.rknn import rnn_candidates
@@ -45,8 +47,24 @@ def tree(dataset):
 
 
 @pytest.fixture(scope="module")
-def queries(dataset):
-    return list(knn_queries(dataset, count=3, seed=23))
+def queries(dataset, tree):
+    """Three queries whose kNN phase 2 reaches the Hyperbola kernel.
+
+    Most queries settle every candidate by MinMax (Lemma 9) or a
+    Hyperbola fast path, which would leave the quartic and frame seams
+    idle and the invariant unchecked for them.  These are the first
+    three of a seeded stream whose clean run solves a quartic.
+    """
+    picked = []
+    for query in knn_queries(dataset, count=60, seed=23):
+        with obs.enabled_scope(True), obs.scope():
+            knn_query(tree, query, K)
+            solved = obs.collect()["counters"].get(names.HYPERBOLA_QUARTIC, 0)
+        if solved:
+            picked.append(query)
+        if len(picked) == 3:
+            return picked
+    raise AssertionError("no query reaches the Hyperbola kernel")
 
 
 @pytest.fixture(scope="module")

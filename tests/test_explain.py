@@ -109,13 +109,12 @@ class TestKnnExplain:
         assert "hyperbola.calls" not in counters
 
     def test_two_phase_and_df_capture_levels(self, world):
+        # Both phases (best-first, then depth-first) record their visits.
         _, tree, query = world
-        for kwargs in (
-            {"strategy": "df"},
-            {"algorithm": "two-phase"},
-        ):
-            detail = knn_query(tree, query, 5, explain=True, **kwargs).explain
-            assert detail.nodes_by_level
+        explained = knn_query(tree, query, 5, explain=True)
+        levels = explained.explain.nodes_by_level
+        assert levels
+        assert sum(levels.values()) == explained.nodes_visited
 
     def test_render_mentions_the_key_sections(self, world):
         _, tree, query = world

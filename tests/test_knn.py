@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import synthetic_dataset
-from repro.exceptions import QueryError
+from repro.exceptions import ExperimentError, QueryError, ValidationError
+from repro.experiments.incremental import incremental_knn
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
 from repro.index.sstree import SSTree
@@ -60,14 +61,11 @@ class TestReference:
 
 
 class TestTwoPhaseExactness:
-    @pytest.mark.parametrize("strategy", ("hs", "df"))
-    def test_tree_matches_reference(self, world, strategy):
+    def test_tree_matches_reference(self, world):
         _, tree, flat, queries = world
         for query in queries:
             expected = knn_reference(flat, query, 10)
-            got = knn_query(
-                tree, query, 10, strategy=strategy, algorithm="two-phase"
-            )
+            got = knn_query(tree, query, 10)
             assert got.key_set() == expected.key_set()
             assert got.distk == pytest.approx(expected.distk)
 
@@ -75,25 +73,29 @@ class TestTwoPhaseExactness:
         _, _, flat, queries = world
         for query in queries:
             expected = knn_reference(flat, query, 7)
-            got = knn_query(flat, query, 7, algorithm="two-phase")
+            got = knn_query(flat, query, 7)
             assert got.key_set() == expected.key_set()
 
     def test_prunes_subtrees(self, world):
         """Tree traversal must visit fewer nodes than exist for k=1."""
         _, tree, _, queries = world
-        result = knn_query(tree, queries[0], 1, algorithm="two-phase")
+        result = knn_query(tree, queries[0], 1)
         assert result.nodes_visited < tree.node_count() * 2  # two passes
 
 
 class TestIncrementalAlgorithm:
-    """The paper's single-pass list maintenance (Section 6)."""
+    """The paper's single-pass list maintenance (Section 6).
+
+    It is kept only to regenerate the paper's figures, in
+    :mod:`repro.experiments.incremental`.
+    """
 
     @pytest.mark.parametrize("strategy", ("hs", "df"))
     def test_subset_of_truth_with_exact_criterion(self, world, strategy):
         _, tree, flat, queries = world
         for query in queries:
             truth = knn_reference(flat, query, 10).key_set()
-            got = knn_query(tree, query, 10, strategy=strategy)
+            got = incremental_knn(tree, query, 10, strategy=strategy)
             assert got.key_set() <= truth  # precision is always 100%
 
     def test_finds_the_true_distk(self, world):
@@ -101,22 +103,22 @@ class TestIncrementalAlgorithm:
         for query in queries:
             expected = knn_reference(flat, query, 10)
             for strategy in ("hs", "df"):
-                got = knn_query(tree, query, 10, strategy=strategy)
+                got = incremental_knn(tree, query, 10, strategy=strategy)
                 assert got.distk == pytest.approx(expected.distk)
 
     def test_unsound_criteria_return_supersets(self, world):
         _, tree, _, queries = world
         for query in queries:
-            exact = knn_query(tree, query, 10, criterion="hyperbola").key_set()
+            exact = incremental_knn(tree, query, 10, criterion="hyperbola").key_set()
             for name in ("minmax", "mbr", "gp"):
-                loose = knn_query(tree, query, 10, criterion=name).key_set()
+                loose = incremental_knn(tree, query, 10, criterion=name).key_set()
                 assert exact <= loose, name
 
     def test_linear_and_tree_agree(self, world):
         _, tree, flat, queries = world
         for query in queries:
-            tree_result = knn_query(tree, query, 5, strategy="hs")
-            flat_result = knn_query(flat, query, 5)
+            tree_result = incremental_knn(tree, query, 5, strategy="hs")
+            flat_result = incremental_knn(flat, query, 5)
             # Both run the same list maintenance; the visit order differs,
             # so the outputs may differ slightly — but both must sit
             # between the exact answer's core and the full truth.
@@ -126,7 +128,7 @@ class TestIncrementalAlgorithm:
 
     def test_statistics_populated(self, world):
         _, tree, _, queries = world
-        result = knn_query(tree, queries[0], 10)
+        result = incremental_knn(tree, queries[0], 10)
         assert result.nodes_visited > 0
         assert result.entries_considered > 0
         assert result.dominance_checks >= 0
@@ -142,16 +144,33 @@ class TestValidation:
             knn_query(tree, queries[0], len(tree) + 1)
 
     def test_unknown_strategy(self, world):
+        # The served query has one traversal; only the paper's
+        # incremental algorithm still picks between DF and HS.
         _, tree, _, queries = world
-        with pytest.raises(QueryError):
-            knn_query(tree, queries[0], 3, strategy="bfs")
-        with pytest.raises(QueryError):
-            knn_query(tree, queries[0], 3, strategy="bfs", algorithm="two-phase")
+        with pytest.raises(TypeError):
+            knn_query(tree, queries[0], 3, strategy="hs")
+        with pytest.raises(ExperimentError):
+            incremental_knn(tree, queries[0], 3, strategy="bfs")
 
     def test_unknown_algorithm(self, world):
+        # The exact two-phase search is the only served algorithm.
         _, tree, _, queries = world
-        with pytest.raises(QueryError):
-            knn_query(tree, queries[0], 3, algorithm="magic")
+        with pytest.raises(TypeError):
+            knn_query(tree, queries[0], 3, algorithm="two-phase")
+
+    @pytest.mark.parametrize("flat_base", (False, True), ids=("tree", "linear"))
+    def test_k_beyond_the_live_rows_of_an_overlay(self, world, flat_base):
+        from repro.stream.overlay import DeltaOverlay
+
+        _, tree, flat, queries = world
+        overlay = DeltaOverlay()
+        for key in flat.keys[3:]:
+            overlay.delete(key)
+        overlay.insert("fresh", queries[0])
+        index = flat if flat_base else tree
+        assert knn_query(index, queries[0], 4, overlay=overlay).key_set()
+        with pytest.raises(ValidationError, match="k=5 exceeds the dataset size 4"):
+            knn_query(index, queries[0], 5, overlay=overlay)
 
     def test_criterion_by_name_and_instance(self, world):
         from repro.core import get_criterion

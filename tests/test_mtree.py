@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from repro.data.synthetic import synthetic_dataset
 from repro.exceptions import IndexStructureError
+from repro.experiments.incremental import incremental_knn
 from repro.geometry.distance import max_dist, min_dist
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.mtree import MTree
@@ -118,17 +119,14 @@ class TestQueries:
             expected = {key for key, sphere in items if sphere.overlaps(query)}
             assert found == expected
 
-    @pytest.mark.parametrize("strategy", ("hs", "df"))
-    def test_two_phase_knn_matches_reference(self, strategy):
+    def test_two_phase_knn_matches_reference(self):
         dataset = synthetic_dataset(600, 3, mu=8.0, seed=2)
         tree = MTree.build(dataset.items())
         items = list(dataset.items())
         for i in (0, 100, 400):
             query = dataset.sphere(i)
             expected = knn_reference(items, query, 8).key_set()
-            got = knn_query(
-                tree, query, 8, strategy=strategy, algorithm="two-phase"
-            )
+            got = knn_query(tree, query, 8)
             assert got.key_set() == expected
 
     def test_incremental_knn_subset_of_truth(self):
@@ -138,7 +136,7 @@ class TestQueries:
         for i in (5, 250):
             query = dataset.sphere(i)
             truth = knn_reference(items, query, 8).key_set()
-            got = knn_query(tree, query, 8)
+            got = incremental_knn(tree, query, 8)
             assert got.key_set() <= truth
 
     def test_all_three_trees_agree(self):
@@ -154,6 +152,6 @@ class TestQueries:
             VPTree.build(dataset.items()),
         ):
             answers.append(
-                knn_query(tree, query, 6, algorithm="two-phase").key_set()
+                knn_query(tree, query, 6).key_set()
             )
         assert answers[0] == answers[1] == answers[2]

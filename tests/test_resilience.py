@@ -267,14 +267,11 @@ class TestPartialResult:
 
 
 class TestBudgetedKNN:
-    @pytest.mark.parametrize("algorithm", ("incremental", "two-phase"))
-    def test_generous_budget_reproduces_the_clean_answer(
-        self, tree, queries, algorithm
-    ):
+    def test_generous_budget_reproduces_the_clean_answer(self, tree, queries):
         for query in queries:
-            clean = knn_query(tree, query, 10, algorithm=algorithm)
+            clean = knn_query(tree, query, 10)
             with scope(Budget(**GENEROUS)):
-                budgeted = knn_query(tree, query, 10, algorithm=algorithm)
+                budgeted = knn_query(tree, query, 10)
             assert isinstance(budgeted, PartialResult)
             assert budgeted.complete and not budgeted.degraded
             assert budgeted.key_set() == clean.key_set()
@@ -299,12 +296,23 @@ class TestBudgetedKNN:
         assert not result.complete
         assert result.report.exhausted == "deadline"
 
-    @pytest.mark.parametrize("strategy", ("hs", "df"))
-    def test_both_traversals_respect_the_budget(self, tree, queries, strategy):
-        with scope(Budget(max_candidates=10)):
-            result = knn_query(tree, queries[0], 10, strategy=strategy)
+    @pytest.mark.parametrize("traversal", ("hs", "df"))
+    def test_both_traversals_respect_the_budget(self, tree, queries, traversal):
+        # Phase 1 is a best-first (HS) search and runs first, so a tiny
+        # quota cuts it; a quota just short of a full run cuts phase 2's
+        # depth-first (DF) walk instead.
+        with scope(Budget(**GENEROUS)) as budget:
+            clean = knn_query(tree, queries[0], 10)
+        quota = 10 if traversal == "hs" else budget.candidates_charged - 5
+        with scope(Budget(max_candidates=quota)):
+            result = knn_query(tree, queries[0], 10)
         assert isinstance(result, PartialResult)
         assert not result.complete
+        assert result.report.exhausted == "candidates"
+        if traversal == "df":
+            # The anchors were found: what was collected is filtered.
+            assert result.key_set() <= clean.key_set()
+            assert result.distk == clean.distk
 
     def test_linear_scan_respects_the_budget(self, dataset, queries):
         index = LinearIndex(dataset.items())
@@ -316,18 +324,22 @@ class TestBudgetedKNN:
     def test_two_phase_budget_cut_skips_the_dominance_filter(
         self, dataset, queries
     ):
-        # A phase-1 cut makes the anchors untrustworthy; the filter is
-        # skipped (degraded, answers kept) rather than applied unsoundly.
+        # Out of budget, the criterion filter is skipped (degraded,
+        # answers kept) rather than spending more work; only the MinMax
+        # prune of Lemma 9, which needs no criterion, still applies.
         index = LinearIndex(dataset.items())
-        clean = knn_query(index, queries[0], 10, algorithm="two-phase")
-        with scope(Budget(max_candidates=len(index) // 2)):
-            result = knn_query(index, queries[0], 10, algorithm="two-phase")
-        assert isinstance(result, PartialResult)
-        assert not result.complete
-        assert result.tier is GuaranteeTier.CONSERVATIVE
-        assert result.degraded_checks > 0
-        # Skipping the filter keeps candidates: a superset, never a cut.
-        assert clean.key_set() <= result.key_set()
+        degraded = 0
+        for query in queries:
+            clean = knn_query(index, query, 10)
+            with scope(Budget(max_candidates=len(index) // 2)):
+                result = knn_query(index, query, 10)
+            assert isinstance(result, PartialResult)
+            assert not result.complete
+            assert result.tier is GuaranteeTier.CONSERVATIVE
+            # Skipping the filter keeps candidates: a superset, never a cut.
+            assert clean.key_set() <= result.key_set()
+            degraded += result.degraded_checks
+        assert degraded > 0
 
     def test_partial_result_forwards_knn_attributes(self, tree, queries):
         with scope(Budget(max_candidates=10)):

@@ -173,9 +173,10 @@ class TestQueryPath:
             {"k": True},
             {"k": "many"},
             {"index": ""},
-            {"strategy": "magic"},
-            {"algorithm": "quantum"},
+            {"kind": "dominating", "criterion": "verified"},
+            {"criterion": "nope"},
             {"criterion": 7},
+            {"kind": "rknn", "criterion": "nope"},
         ],
     )
     def test_invalid_payloads_get_400(self, snapshot_path, query_body, mutation):

@@ -316,3 +316,45 @@ class TestWorkerHeartbeatSeam:
         assert counters.get(names.SERVE_WORKERS_HEARTBEAT_MISSES, 0) >= 1
         assert counters.get(names.SERVE_WORKERS_KILLS, 0) >= 1
         assert counters.get(names.SERVE_WORKERS_RESPAWNS, 0) >= 1
+
+
+class TestUnrunnableCriterion:
+    def test_is_a_400_and_every_worker_survives(
+        self, snapshot_path, query_bodies, baseline
+    ):
+        # A criterion the query kind cannot run ("verified" has no batch
+        # kernel for dominating; "nope" is not registered) used to crash
+        # the worker, and failover then crashed its sibling too.
+        config = SupervisorConfig(
+            query_workers=2,
+            snapshots={"default": snapshot_path},
+            backoff_base_s=0.05,
+            backoff_cap_s=0.5,
+        )
+        bad_bodies = [
+            dict(query_bodies[0], kind="dominating", criterion="verified"),
+            dict(query_bodies[0], criterion="nope"),
+            dict(query_bodies[0], kind="rknn", criterion="nope"),
+        ]
+
+        async def scenario(sup: Supervisor, host, port):
+            await wait_for_quorum(host, port)
+            pids = sorted(sup.worker_pids())
+            rejected = []
+            for body in bad_bodies:
+                status, _, raw = await request(
+                    host, port, "POST", "/query", body=body
+                )
+                rejected.append((status, json.loads(raw)["error"]))
+            status, _, raw = await request(
+                host, port, "POST", "/query", body=query_bodies[0]
+            )
+            return pids, rejected, sorted(sup.worker_pids()), status, raw
+
+        (before, rejected, after, status, raw), _ = run_supervised(
+            config, scenario
+        )
+        assert rejected == [(400, "validation")] * len(bad_bodies)
+        assert after == before
+        assert status == 200
+        assert json.loads(raw)["result"] == baseline[0]

@@ -237,5 +237,5 @@ class TestRemoval:
             del survivors[key]
         query = Hypersphere([0.0, 0.0], 1.0)
         expected = knn_reference(list(survivors.items()), query, 5).key_set()
-        got = knn_query(tree, query, 5, algorithm="two-phase")
+        got = knn_query(tree, query, 5)
         assert got.key_set() == expected

@@ -222,7 +222,7 @@ def test_kill_at_seam_recovers_exactly(tmp_path, base_entries, workload, spec):
         # And so do the query answers, bit for bit on the key sets.
         probe = synthetic_dataset(3, DIMENSION, mu=0.15, seed=99)
         for _, query in probe.items():
-            got = recovered.query_knn(query, K, algorithm="two-phase")
+            got = recovered.query_knn(query, K)
             want = knn_reference(oracle, query, K)
             assert got.key_set() == want.key_set()
             assert set(recovered.query_rknn(query)) == set(

@@ -171,20 +171,9 @@ class TestQueryMerge:
     def oracle_index(self, mutated):
         return LinearIndex(mutated.effective_entries())
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        (
-            {"strategy": "hs"},
-            {"strategy": "df"},
-            {"algorithm": "two-phase"},
-        ),
-        ids=("hs", "df", "two-phase"),
-    )
-    def test_knn_matches_folded_oracle(
-        self, mutated, oracle_index, queries, kwargs
-    ):
+    def test_knn_matches_folded_oracle(self, mutated, oracle_index, queries):
         for query in queries:
-            merged = mutated.query_knn(query, K, **kwargs)
+            merged = mutated.query_knn(query, K)
             oracle = knn_query(oracle_index, query, K)
             assert merged.key_set() == oracle.key_set()
             assert merged.distk == pytest.approx(oracle.distk, rel=1e-12)

@@ -75,13 +75,10 @@ def oracle_entries(base, history):
 
 def assert_same_answers(stream_like, oracle, query, k):
     """All three merged queries match the linear-scan ground truth."""
-    knn = stream_like.query_knn(query, k, algorithm="two-phase")
+    knn = stream_like.query_knn(query, k)
     truth = knn_reference(oracle, query, k)
     assert knn.key_set() == truth.key_set()
-
-    incremental = stream_like.query_knn(query, k)
-    assert incremental.key_set() <= truth.key_set()
-    assert incremental.distk == pytest.approx(truth.distk, rel=1e-9)
+    assert knn.distk == pytest.approx(truth.distk, rel=1e-9)
 
     assert set(stream_like.query_rknn(query)) == set(
         rnn_candidates(oracle, query)
