@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint fuzz chaos stream-chaos bench bench-smoke serve-smoke serve-procs-chaos examples experiments claims profile clean
+.PHONY: install test lint fuzz chaos stream-chaos bench bench-smoke perfbench-test serve-smoke serve-procs-chaos examples experiments claims profile clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -80,6 +80,12 @@ bench-smoke:
 	$(PYTHON) -m repro bench --quick --out-dir .bench-smoke
 	-$(PYTHON) -m repro bench compare --baseline . --current .bench-smoke \
 		--threshold 0.5
+
+# The served benchmark's own tests (perfbench/README.md): BENCHMARK.json
+# stays in step with the package, the load generator, the reference
+# answers and the traced run.  About a minute.
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/tests
 
 examples:
 	for script in examples/*.py; do echo "== $$script"; $(PYTHON) $$script; done

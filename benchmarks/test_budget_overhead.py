@@ -1,19 +1,20 @@
 """Unbudgeted-execution overhead guard for the kNN search.
 
 The resilience layer threads a ``budget`` through the two-phase kNN
-search (:func:`repro.queries.knn._search_tree` and its phase-2 rule
-from :func:`repro.queries.knn._collector`) and guards every charge
-with a single ``budget is not None`` check, plus one contextvar read
-per query in :func:`~repro.queries.knn.knn_query`.  With no budget
-active that must cost within 5% of a replica search with the budget
-plumbing deleted.
+search (:func:`repro.queries.knn._search_tree` and its phase-2 band
+rule from :func:`repro.queries.knn._band_filter`) and guards every
+charge — per node, and one per leaf before its sweep — with a single
+``budget is not None`` check, plus one contextvar read per query in
+:func:`~repro.queries.knn.knn_query`.  With no budget active that must
+cost within 5% of a replica search with the budget plumbing deleted.
 
-The replica below re-states both phases and the phase-2 rule minus the
-budget checks, sharing every other helper (the fault-absorbing bounds,
-the top-k offer, the anchor selection, the guarded dominance check),
-so the two differ *only* by the ``if budget is not None`` guards — the
-same discipline as the instrumentation guard in
-``test_obs_overhead.py``.
+The replica below re-states both phases and the band rule minus the
+budget checks, sharing every other helper (the fault-absorbing node
+bounds and their rounding slack, the packed-leaf sweep, the top-k
+offer, the anchor selection, the masked phase-2 collection, the guarded
+dominance check), so the two
+differ *only* by the ``if budget is not None`` guards — the same
+discipline as the instrumentation guard in ``test_obs_overhead.py``.
 
 Interleaved best-of-N timing keeps the comparison robust against CPU
 frequency drift: each round times both variants back to back and only
@@ -31,16 +32,17 @@ from conftest import make_synthetic
 
 from repro import obs
 from repro.data.workload import knn_queries
-from repro.geometry.distance import max_dist, min_dist
 from repro.index.sstree import SSTree
 from repro.queries import knn as knn_mod
 from repro.queries.knn import (
     KNNResult,
     _any_anchor_dominates,
-    _collect_rows,
+    _beyond,
+    _collect,
     _kth,
     _offer,
     _safe,
+    _sweep,
 )
 from repro.queries.validation import validate_k, validate_query
 from repro.resilience.budget import current as current_budget
@@ -50,35 +52,31 @@ MAX_OVERHEAD_RATIO = 1.05
 K = 10
 
 
-def _collector_unbudgeted(query, criterion, result, distk, anchors):
-    """``knn._collector`` with the budget guard deleted."""
-    keys, spheres = result.keys, result.spheres
+def _band_filter_unbudgeted(query, criterion, result, anchors):
+    """``knn._band_filter`` with the budget guard deleted."""
 
-    def collect(key, sphere, dist_max):
-        if dist_max > distk:
-            if _safe(min_dist, sphere, query, 0.0, result) > distk:
-                result.pruned_case3 += 1
-                return
-            if anchors:
-                result.dominance_checks += len(anchors)
-                if _any_anchor_dominates(anchors, sphere, query, criterion, result):
-                    return
-            else:
-                result.degraded_checks += 1
-        keys.append(key)
-        spheres.append(sphere)
+    def kept(sphere):
+        if anchors:
+            result.dominance_checks += len(anchors)
+            return not _any_anchor_dominates(
+                anchors, sphere, query, criterion, result
+            )
+        result.degraded_checks += 1
+        return True
 
-    return collect
+    return kept
 
 
 def _search_tree_unbudgeted(
     root, query, k, criterion, result, levels, shadowed, memtable
 ):
     """``knn._search_tree`` with the budget guards deleted."""
-    tiebreak = itertools.count()
     top = []
-    for _, sphere, dist_max, _ in memtable:
-        _offer(top, k, dist_max, sphere, tiebreak)
+    near = []
+    swept = {}
+    if memtable is not None:
+        _offer(top, near, k, memtable[0], memtable[1], frozenset())
+    tiebreak = itertools.count()
     heap = [
         (
             _safe(type(root).max_dist_lower_bound, root, query, 0.0, result),
@@ -89,48 +87,53 @@ def _search_tree_unbudgeted(
     ]
     while heap:
         bound, _, node, depth = heapq.heappop(heap)
-        if len(top) == k and bound > -top[0][0]:
+        if len(top) == k and _beyond(bound, -top[0]):
             break
         result.nodes_visited += 1
         if levels is not None:
             levels[depth] = levels.get(depth, 0) + 1
         if node.is_leaf:
-            for key, sphere in node.entries:
-                if key not in shadowed:
-                    dist_max = _safe(max_dist, sphere, query, math.inf, result)
-                    _offer(top, k, dist_max, sphere, tiebreak)
+            bounds = swept[node] = _sweep(node.centers, node.radii, query, result)
+            _offer(top, near, k, node.entries, bounds[0], shadowed)
         else:
             for child in node.children:
                 child_bound = _safe(
                     type(child).max_dist_lower_bound, child, query, 0.0, result
                 )
-                if len(top) < k or child_bound <= -top[0][0]:
+                if len(top) < k or not _beyond(child_bound, -top[0]):
                     heapq.heappush(
                         heap, (child_bound, next(tiebreak), child, depth + 1)
                     )
-    distk, anchors = _kth(top, k, False)
+    distk, anchors = _kth(top, near, k, False)
     result.distk = distk
 
-    collect = _collector_unbudgeted(query, criterion, result, distk, anchors)
-    _collect_rows(memtable, distk, collect, result)
-    result.entries_considered += len(memtable)
+    kept = _band_filter_unbudgeted(query, criterion, result, anchors)
+    if memtable is not None:
+        _collect(*memtable, distk, kept, result)
+        result.entries_considered += len(memtable[0])
     hits = 0
     stack = [(root, 0)]
     while stack:
         node, depth = stack.pop()
-        if _safe(type(node).min_dist, node, query, 0.0, result) > distk:
+        if _beyond(_safe(type(node).min_dist, node, query, 0.0, result), distk):
             result.pruned_case3 += 1
             continue
         result.nodes_visited += 1
         if levels is not None:
             levels[depth] = levels.get(depth, 0) + 1
         if node.is_leaf:
-            for key, sphere in node.entries:
-                result.entries_considered += 1
-                if key in shadowed:
-                    hits += 1
-                    continue
-                collect(key, sphere, _safe(max_dist, sphere, query, math.inf, result))
+            entries = node.entries
+            result.entries_considered += len(entries)
+            bounds = swept.pop(node, None)
+            if bounds is None:
+                bounds = _sweep(node.centers, node.radii, query, result)
+            dead = (
+                [i for i, (key, _) in enumerate(entries) if key in shadowed]
+                if shadowed
+                else []
+            )
+            hits += len(dead)
+            _collect(entries, *bounds, distk, kept, result, dead)
         else:
             stack.extend((child, depth + 1) for child in node.children)
     return hits
@@ -147,7 +150,7 @@ def _baseline_query(tree, query, k, criterion) -> KNNResult:
     result = KNNResult(keys=[], spheres=[], distk=math.inf)
     uncertain_before = knn_mod._uncertain_count(criterion)
     _search_tree_unbudgeted(
-        tree.root, query, k, criterion, result, None, frozenset(), []
+        tree.root, query, k, criterion, result, None, frozenset(), None
     )
     result.uncertain_decisions = (
         knn_mod._uncertain_count(criterion) - uncertain_before

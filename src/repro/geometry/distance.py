@@ -21,6 +21,7 @@ from repro.geometry.hypersphere import Hypersphere
 
 __all__ = [
     "dist",
+    "dists",
     "min_dist",
     "max_dist",
     "min_dist_point",
@@ -35,6 +36,12 @@ def dist(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -> fl
     if p.shape != q.shape:
         raise DimensionalityMismatchError(p.shape[-1], q.shape[-1])
     return float(np.linalg.norm(p - q))
+
+
+def dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``Dist(p, q)`` for every row ``p`` of *points*, in one sweep (Eq. 1)."""
+    gaps: np.ndarray = np.linalg.norm(points - q, axis=1)
+    return gaps
 
 
 def max_dist(a: Hypersphere, b: Hypersphere) -> float:

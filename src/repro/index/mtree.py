@@ -32,6 +32,7 @@ import numpy as np
 from repro.exceptions import IndexStructureError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.instrumentation import IndexStatsMixin
+from repro.index.packed import check_packed, pack
 
 __all__ = ["MTree", "MTreeNode"]
 
@@ -39,13 +40,19 @@ DEFAULT_MAX_ENTRIES = 16
 
 
 class MTreeNode:
-    """A node: a promoted routing center plus a covering radius."""
+    """A node: a promoted routing center plus a covering radius.
 
-    __slots__ = ("is_leaf", "entries", "children", "routing", "radius", "count")
+    A leaf also keeps its entries packed as ``centers``/``radii`` arrays
+    (:mod:`repro.index.packed`), re-packed by :meth:`refresh`.
+    """
+
+    __slots__ = ("is_leaf", "entries", "centers", "radii", "children",
+                 "routing", "radius", "count")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
         self.entries: list[tuple[object, Hypersphere]] = []
+        self.centers, self.radii = pack(self.entries)
         self.children: list[MTreeNode] = []
         self.routing: np.ndarray | None = None
         self.radius = 0.0
@@ -66,8 +73,12 @@ class MTreeNode:
         return max(gap, 0.0) + query.radius
 
     def refresh(self) -> None:
-        """Recompute the covering radius and count (routing unchanged)."""
+        """Recompute the covering radius and count (routing unchanged).
+
+        A leaf's packed arrays are rebuilt from its entries too.
+        """
         if self.is_leaf:
+            self.centers, self.radii = pack(self.entries)
             self.count = len(self.entries)
             self.radius = max(
                 (
@@ -312,6 +323,7 @@ class MTree(IndexStatsMixin):
             if node.is_leaf:
                 if not node.entries:
                     raise IndexStructureError("empty leaf")
+                check_packed(node)
                 for _, sphere in node.entries:
                     reach = (
                         float(np.linalg.norm(sphere.center - node.routing))

@@ -55,6 +55,7 @@ from repro.exceptions import SnapshotCorruptionError, SnapshotError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
 from repro.index.mtree import MTree, MTreeNode
+from repro.index.packed import pack
 from repro.index.sstree import SSTree, SSTreeNode
 from repro.index.vptree import VPTree, VPTreeNode
 from repro.obs import names
@@ -216,6 +217,7 @@ def _rebuild_sstree_node(pages: "Iterator[dict]", dimension: int) -> SSTreeNode:
     node.count = int(_page_field(page, "count"))
     if node.is_leaf:
         node.entries = _decode_entries(_page_field(page, "entries"))
+        node.centers, node.radii = pack(node.entries)
     for _ in range(int(_page_field(page, "children"))):
         node.children.append(_rebuild_sstree_node(pages, dimension))
     return node
@@ -230,6 +232,7 @@ def _rebuild_mtree_node(pages: "Iterator[dict]", dimension: int) -> MTreeNode:
     node.count = int(_page_field(page, "count"))
     if node.is_leaf:
         node.entries = _decode_entries(_page_field(page, "entries"))
+        node.centers, node.radii = pack(node.entries)
     for _ in range(int(_page_field(page, "children"))):
         node.children.append(_rebuild_mtree_node(pages, dimension))
     return node
@@ -246,6 +249,7 @@ def _rebuild_vptree_node(pages: "Iterator[dict]", dimension: int) -> VPTreeNode:
     node.split_radius = float(_page_field(page, "split_radius"))
     if node.is_leaf:
         node.entries = _decode_entries(_page_field(page, "entries"))
+        node.centers, node.radii = pack(node.entries)
     for _ in range(int(_page_field(page, "children"))):
         node.children.append(_rebuild_vptree_node(pages, dimension))
     return node

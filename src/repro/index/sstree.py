@@ -39,6 +39,7 @@ import numpy as np
 from repro.exceptions import IndexStructureError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.instrumentation import IndexStatsMixin
+from repro.index.packed import check_packed, pack
 
 __all__ = ["SSTree", "SSTreeNode"]
 
@@ -46,14 +47,20 @@ DEFAULT_MAX_ENTRIES = 16
 
 
 class SSTreeNode:
-    """A directory or leaf node: a covering sphere over its children."""
+    """A directory or leaf node: a covering sphere over its children.
 
-    __slots__ = ("is_leaf", "children", "entries", "centroid", "radius", "count")
+    A leaf also keeps its entries packed as ``centers``/``radii`` arrays
+    (:mod:`repro.index.packed`), re-packed by :meth:`refresh`.
+    """
+
+    __slots__ = ("is_leaf", "children", "entries", "centers", "radii",
+                 "centroid", "radius", "count")
 
     def __init__(self, dimension: int, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
         self.children: list[SSTreeNode] = []
         self.entries: list[tuple[object, Hypersphere]] = []
+        self.centers, self.radii = pack(self.entries)
         self.centroid = np.zeros(dimension)
         self.radius = 0.0
         self.count = 0
@@ -97,15 +104,18 @@ class SSTreeNode:
     # Maintenance
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Recompute centroid, covering radius and count from children."""
+        """Recompute centroid, covering radius and count from children.
+
+        A leaf's packed arrays are rebuilt from its entries too.
+        """
         if self.is_leaf:
+            self.centers, self.radii = pack(self.entries)
             if not self.entries:
                 self.count = 0
                 self.radius = 0.0
                 return
-            centers = np.stack([sphere.center for _, sphere in self.entries])
             self.count = len(self.entries)
-            self.centroid = centers.mean(axis=0)
+            self.centroid = self.centers.mean(axis=0)
             self.radius = max(
                 float(np.linalg.norm(sphere.center - self.centroid)) + sphere.radius
                 for _, sphere in self.entries
@@ -431,6 +441,7 @@ class SSTree(IndexStatsMixin):
             raise IndexStructureError(f"inner node underfull: {size} < {self.min_entries}")
         tolerance = 1e-9 * (1.0 + abs(node.radius))
         if node.is_leaf:
+            check_packed(node)
             for _, sphere in node.entries:
                 reach = (
                     float(np.linalg.norm(sphere.center - node.centroid))

@@ -29,6 +29,7 @@ import numpy as np
 from repro.exceptions import IndexStructureError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.instrumentation import IndexStatsMixin
+from repro.index.packed import check_packed, pack
 
 __all__ = ["VPTree", "VPTreeNode"]
 
@@ -36,14 +37,19 @@ DEFAULT_LEAF_CAPACITY = 16
 
 
 class VPTreeNode:
-    """A VP-tree node: a vantage point plus member distance statistics."""
+    """A VP-tree node: a vantage point plus member distance statistics.
 
-    __slots__ = ("is_leaf", "entries", "children", "vantage", "lo", "hi",
-                 "r_max", "count", "split_radius")
+    A leaf also keeps its entries packed as ``centers``/``radii`` arrays
+    (:mod:`repro.index.packed`), set when the leaf is built.
+    """
+
+    __slots__ = ("is_leaf", "entries", "centers", "radii", "children",
+                 "vantage", "lo", "hi", "r_max", "count", "split_radius")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
         self.entries: list[tuple[object, Hypersphere]] = []
+        self.centers, self.radii = pack(self.entries)
         self.children: list[VPTreeNode] = []
         self.vantage: np.ndarray | None = None
         self.lo = 0.0
@@ -127,11 +133,10 @@ class VPTree(IndexStatsMixin):
         if len(items) <= leaf_capacity:
             node = VPTreeNode(is_leaf=True)
             node.entries = items
+            node.centers, node.radii = pack(items)
             # The leaf vantage is the member centroid — any fixed point
             # works; the centroid keeps the [lo, hi] band tight.
-            node.vantage = np.mean(
-                [sphere.center for _, sphere in items], axis=0
-            )
+            node.vantage = node.centers.mean(axis=0)
             cls._node_statistics(node, items)
             return node
 
@@ -230,6 +235,7 @@ class VPTree(IndexStatsMixin):
             if node.is_leaf:
                 if not node.entries:
                     raise IndexStructureError("empty leaf")
+                check_packed(node)
                 for _, sphere in node.entries:
                     gap = float(np.linalg.norm(sphere.center - node.vantage))
                     if not (node.lo - 1e-9 <= gap <= node.hi + 1e-9):

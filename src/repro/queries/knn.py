@@ -26,6 +26,17 @@ one vectorised sweep.  The paper's own single-pass best-known list
 of Definition 2; it is reproduced for the paper's figures in
 :mod:`repro.experiments.incremental`.
 
+Both phases bound the entries of a tree leaf in one vectorised sweep
+over its packed ``centers``/``radii`` arrays
+(:mod:`repro.index.packed`), computed as a flat scan computes them, and
+sweep each leaf once per query: phase 2 reuses the bounds phase 1
+swept.  Phase 1 offers its top-k only the rows at or below the current
+k-th MaxDist; phase 2 settles Case 3 (``MinDist > distk``) and the rows
+with ``MaxDist <= distk`` by mask, so the criterion runs only on the
+band between the two.  Node bounds stay scalar node-method calls; they
+round differently from the row sweep, so a node is skipped or pruned
+only when its bound clears distk by more than a rounding hair.
+
 A streaming :class:`~repro.stream.overlay.DeltaOverlay` merges inside
 the scan, by one rule for tree and flat bases: memtable rows join
 phase 1's top-k and phase 2's collection (their distance bounds come
@@ -42,12 +53,16 @@ Two orthogonal defences make the query path production-safe:
 criterion itself — is guarded: a raising kernel or a non-finite bound
 collapses to the no-prune direction (bound 0, MaxDist ``inf``, or a
 MinMax fallback decision) and is tallied on
-:attr:`KNNResult.absorbed_faults`.  A corrupted value can therefore
-widen the answer, never silently narrow it.
+:attr:`KNNResult.absorbed_faults`.  A leaf sweep absorbs a row whose
+MaxDist is non-finite the same way (MaxDist ``inf``, MinDist 0), once
+per row per query.  A corrupted value can therefore widen the answer,
+never silently narrow it.
 
 **Budgets (opt-in).**  When a :class:`repro.resilience.Budget` is
 active (:func:`repro.resilience.scope`), the search charges it per
-node and per entry.  On exhaustion the traversal stops, the criterion
+node, per memtable row, and per leaf: one ``charge_candidate(m)`` for
+a leaf's ``m`` entries before each phase uses them, so a cut skips the
+whole leaf.  On exhaustion the traversal stops, the criterion
 filter is skipped for what is still collected (a conservative
 superset), and the query returns a
 :class:`repro.resilience.PartialResult` wrapping the
@@ -74,9 +89,10 @@ from repro.obs import export as obs_export
 from repro.obs import names
 from repro.core.base import DominanceCriterion, get_criterion
 from repro.exceptions import ValidationError
-from repro.geometry.distance import max_dist, min_dist
+from repro.geometry import distance as _distance
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
+from repro.index.packed import pack
 from repro.index.sstree import SSTree, SSTreeNode
 from repro.index.vptree import VPTree
 from repro.queries.explain import ExplainedResult, explain_capture
@@ -90,9 +106,13 @@ if TYPE_CHECKING:
 
 __all__ = ["KNNResult", "knn_query", "knn_reference"]
 
-#: A row whose bounds one vectorised sweep computed (a memtable row or a
-#: flat-scan row): key, sphere, MaxDist, MinDist.
-_Row = tuple[object, Hypersphere, float, float]
+#: Rows one vectorised sweep bounded (a tree leaf, the memtable or a
+#: flat scan): their ``(key, sphere)`` entries, MaxDist and MinDist.
+_Block = tuple[Sequence[tuple[object, Hypersphere]], np.ndarray, np.ndarray]
+
+#: Relative slack by which a node bound must exceed distk to prune
+#: (see :func:`_beyond`).
+_NODE_SLACK = 1e-9
 
 
 def _record_traversal(index: object, result: "KNNResult") -> None:
@@ -252,8 +272,9 @@ def knn_query(
         :class:`~repro.index.vptree.VPTree` or
         :class:`~repro.index.mtree.MTree` (searched with pruning), or a
         :class:`~repro.index.linear.LinearIndex` (one vectorised sweep).
-        Any tree whose nodes expose ``is_leaf`` / ``entries`` /
-        ``children`` / ``min_dist`` / ``max_dist_lower_bound`` works.
+        Any tree whose nodes expose ``is_leaf`` / ``entries`` (packed
+        as ``centers`` / ``radii``) / ``children`` / ``min_dist`` /
+        ``max_dist_lower_bound`` works.
     query:
         The query hypersphere ``Sq``.
     k:
@@ -329,23 +350,19 @@ def _run_knn(
     result = KNNResult(keys=[], spheres=[], distk=math.inf)
     uncertain_before = _uncertain_count(criterion)
     shadowed: "frozenset[object]" = frozenset()
-    memtable: "list[_Row]" = []
+    memtable: "_Block | None" = None
     cut = False
     if overlay is not None:
         shadowed = overlay.shadowed_keys()
-        keys: "list[object]" = []
-        spheres: "list[Hypersphere]" = []
+        entries: "list[tuple[object, Hypersphere]]" = []
         # One candidate charge per memtable row, as for a flat scan.
         for key, sphere in overlay.entries():
             if budget is not None and budget.charge_candidate() is not None:
                 cut = True
                 break
-            keys.append(key)
-            spheres.append(sphere)
-        if spheres:
-            centers = np.array([sphere.center for sphere in spheres])
-            radii = np.array([sphere.radius for sphere in spheres])
-            memtable = _rows(keys, spheres, centers, radii, query, result)
+            entries.append((key, sphere))
+        if entries:
+            memtable = (entries, *_sweep(*pack(entries), query, result))
     if isinstance(index, LinearIndex):
         hits = _scan_linear(
             index, query, k, criterion, result, budget, shadowed, memtable, cut
@@ -366,35 +383,84 @@ def _run_knn(
     return _wrap_partial(result, budget)
 
 
-def _rows(
-    keys: "Sequence[object]",
-    spheres: "Sequence[Hypersphere]",
-    centers: np.ndarray,
-    radii: np.ndarray,
-    query: Hypersphere,
-    result: KNNResult,
-) -> "list[_Row]":
-    """Rows with their distance bounds, from one vectorised sweep.
+def _sweep(
+    centers: np.ndarray, radii: np.ndarray, query: Hypersphere, result: KNNResult
+) -> "tuple[np.ndarray, np.ndarray]":
+    """MaxDist and MinDist of packed rows to *query*, in one vectorised sweep.
 
     The bounds are computed as
-    :meth:`~repro.index.linear.LinearIndex.max_dists` does; a
-    non-finite MaxDist is absorbed like :func:`_safe` absorbs one.
+    :meth:`~repro.index.linear.LinearIndex.max_dists` and
+    :meth:`~repro.index.linear.LinearIndex.min_dists` compute them; a
+    row with a non-finite MaxDist is absorbed (MaxDist ``inf``, MinDist
+    0: never pruned) and tallied, as :func:`_safe` absorbs a bound, and
+    a raising distance kernel absorbs every row of the sweep.
     """
-    gaps = np.linalg.norm(centers - query.center, axis=1)
+    if not radii.size:  # a tree's empty root leaf
+        return np.empty(0), np.empty(0)
+    try:
+        # Resolved at call time: the "distance" fault seam.
+        gaps = _distance.dists(centers, query.center)
+    except ArithmeticError:
+        gaps = np.full(radii.size, math.nan)
     dist_max = gaps + radii + query.radius
     dist_min = np.maximum(gaps - radii - query.radius, 0.0)
     corrupt = ~np.isfinite(dist_max)
     if corrupt.any():
         result.absorbed_faults += int(corrupt.sum())
         dist_max[corrupt], dist_min[corrupt] = math.inf, 0.0
-    return list(zip(keys, spheres, dist_max.tolist(), dist_min.tolist()))
+    return dist_max, dist_min
+
+
+def _beyond(bound: float, distk: float) -> bool:
+    """Whether a node bound clears *distk* by more than rounding.
+
+    A node bound and the row bounds below it round differently, so a
+    node whose bound lies within a hair of distk may still hold a row
+    attaining it; only a bound past that hair skips or prunes the node.
+    """
+    return bound > distk + _NODE_SLACK * (1.0 + distk)
+
+
+def _offer(
+    top: "list[float]",
+    near: "list[tuple[float, Hypersphere]]",
+    k: int,
+    entries: "Sequence[tuple[object, Hypersphere]]",
+    dist_max: np.ndarray,
+    shadowed: "frozenset[object]",
+) -> None:
+    """Offer phase 1's top-k (negated MaxDists, a max-heap) a swept block.
+
+    Once the top-k is full only rows at or below its k-th MaxDist can
+    enter it or tie distk, so only they are read.  The rows read also
+    join *near*, the anchor candidates: every row attaining the final
+    distk is among them, because the k-th MaxDist only ever shrinks.
+    """
+    if len(top) < k:
+        rows: "Sequence[int]" = range(len(entries))
+    else:
+        rows = np.flatnonzero(dist_max <= -top[0]).tolist()
+    for i in rows:
+        key, sphere = entries[i]
+        if key in shadowed:
+            continue
+        value = float(dist_max[i])
+        near.append((value, sphere))
+        if len(top) < k:
+            heapq.heappush(top, -value)
+        elif value < -top[0]:
+            heapq.heapreplace(top, -value)
 
 
 def _kth(
-    top: "list[tuple[float, int, Hypersphere]]", k: int, cut: bool
+    top: "list[float]",
+    near: "list[tuple[float, Hypersphere]]",
+    k: int,
+    cut: bool,
 ) -> "tuple[float, list[Hypersphere]]":
-    """``(distk, anchors)`` from phase 1's top-k max-heap.
+    """``(distk, anchors)`` from phase 1's top-k and anchor candidates.
 
+    Every row attaining distk is an anchor, as in :func:`knn_reference`.
     When the budget cut phase 1 short the found distk is only an
     *upper* bound on the true one: Case-3 pruning against it stays safe
     (MinDist > distk' >= distk), but the found anchors may not be the
@@ -404,38 +470,63 @@ def _kth(
         if not cut:
             raise ValidationError(f"k={k} exceeds the dataset size {len(top)}")
         return math.inf, []
-    distk = -top[0][0]
-    return distk, ([] if cut else [s for neg, _, s in top if -neg == distk])
+    distk = -top[0]
+    return distk, ([] if cut else [s for value, s in near if value == distk])
 
 
-def _collector(
+def _band_filter(
     query: Hypersphere,
     criterion: DominanceCriterion,
     result: KNNResult,
     budget: "Budget | None",
-    distk: float,
     anchors: "list[Hypersphere]",
-) -> "Callable[[object, Hypersphere, float], None]":
-    """Phase 2's rule for one object: keep it unless ``Sk`` dominates it."""
-    keys, spheres = result.keys, result.spheres
+) -> "Callable[[Hypersphere], bool]":
+    """Phase 2's rule for a band row: keep it unless ``Sk`` dominates it."""
 
-    def collect(key: object, sphere: Hypersphere, dist_max: float) -> None:
-        if dist_max > distk:
-            if _safe(min_dist, sphere, query, 0.0, result) > distk:
-                result.pruned_case3 += 1
-                return
-            if anchors and (budget is None or budget.exhausted() is None):
-                result.dominance_checks += len(anchors)
-                if _any_anchor_dominates(anchors, sphere, query, criterion, result):
-                    return
-            else:
-                # No trustworthy Sk, or no budget left for the filter:
-                # keep — a conservative superset, never a wrong cut.
-                result.degraded_checks += 1
-        keys.append(key)
-        spheres.append(sphere)
+    def kept(sphere: Hypersphere) -> bool:
+        if anchors and (budget is None or budget.exhausted() is None):
+            result.dominance_checks += len(anchors)
+            return not _any_anchor_dominates(
+                anchors, sphere, query, criterion, result
+            )
+        # No trustworthy Sk, or no budget left for the filter:
+        # keep — a conservative superset, never a wrong cut.
+        result.degraded_checks += 1
+        return True
 
-    return collect
+    return kept
+
+
+def _collect(
+    entries: "Sequence[tuple[object, Hypersphere]]",
+    dist_max: np.ndarray,
+    dist_min: np.ndarray,
+    distk: float,
+    kept: "Callable[[Hypersphere], bool]",
+    result: KNNResult,
+    dead: "Sequence[int]" = (),
+) -> None:
+    """Phase 2 over a swept block, in entry order.
+
+    Case 3 (``MinDist > distk``: dominated via MinMax, Lemma 9) and the
+    rows with ``MaxDist <= distk`` (``Sk`` and its ties: never
+    dominated) are settled by mask; only the band rows between them go
+    to *kept*.  Rows at the *dead* positions (shadowed) are skipped.
+    """
+    case3 = dist_min > distk
+    undecided = ~case3
+    if dead:
+        case3[dead] = undecided[dead] = False
+    result.pruned_case3 += int(np.count_nonzero(case3))
+    rows = np.flatnonzero(undecided).tolist()
+    if not rows:
+        return
+    keep = dist_max <= distk
+    for i in rows:
+        key, sphere = entries[i]
+        if keep[i] or kept(sphere):
+            result.keys.append(key)
+            result.spheres.append(sphere)
 
 
 def _search_tree(
@@ -447,16 +538,22 @@ def _search_tree(
     budget: "Budget | None",
     levels: "dict[int, int] | None",
     shadowed: "frozenset[object]",
-    memtable: "list[_Row]",
+    memtable: "_Block | None",
     cut: bool,
 ) -> int:
-    """Both phases over a tree; returns the shadowed base rows skipped."""
+    """Both phases over a tree; returns the shadowed base rows skipped.
+
+    Each leaf is swept at most once: phase 2 reuses the bounds of the
+    leaves phase 1 swept.
+    """
     # Phase 1: the k-th smallest MaxDist via best-first search on the
     # MaxDist lower bound (exact regardless of the dominance criterion).
+    top: "list[float]" = []
+    near: "list[tuple[float, Hypersphere]]" = []
+    swept: "dict[SSTreeNode, tuple[np.ndarray, np.ndarray]]" = {}
+    if memtable is not None:
+        _offer(top, near, k, memtable[0], memtable[1], frozenset())
     tiebreak = itertools.count()
-    top: "list[tuple[float, int, Hypersphere]]" = []  # max-heap via negation
-    for _, sphere, dist_max, _ in memtable:
-        _offer(top, k, dist_max, sphere, tiebreak)
     heap = [
         (
             _safe(type(root).max_dist_lower_bound, root, query, 0.0, result),
@@ -467,7 +564,7 @@ def _search_tree(
     ]
     while heap and not cut:
         bound, _, node, depth = heapq.heappop(heap)
-        if len(top) == k and bound > -top[0][0]:
+        if len(top) == k and _beyond(bound, -top[0]):
             break
         if budget is not None and budget.charge_node() is not None:
             cut = True
@@ -476,83 +573,65 @@ def _search_tree(
         if levels is not None:
             levels[depth] = levels.get(depth, 0) + 1
         if node.is_leaf:
-            for key, sphere in node.entries:
-                if budget is not None and budget.charge_candidate() is not None:
-                    cut = True
-                    break
-                if key not in shadowed:
-                    dist_max = _safe(max_dist, sphere, query, math.inf, result)
-                    _offer(top, k, dist_max, sphere, tiebreak)
+            if (
+                budget is not None
+                and budget.charge_candidate(len(node.entries)) is not None
+            ):
+                cut = True
+                break
+            bounds = swept[node] = _sweep(node.centers, node.radii, query, result)
+            _offer(top, near, k, node.entries, bounds[0], shadowed)
         else:
             for child in node.children:
                 child_bound = _safe(
                     type(child).max_dist_lower_bound, child, query, 0.0, result
                 )
-                if len(top) < k or child_bound <= -top[0][0]:
+                if len(top) < k or not _beyond(child_bound, -top[0]):
                     heapq.heappush(
                         heap, (child_bound, next(tiebreak), child, depth + 1)
                     )
-    distk, anchors = _kth(top, k, cut)
+    distk, anchors = _kth(top, near, k, cut)
     result.distk = distk
 
     # Phase 2: collect every object not dominated by Sk.  A subtree with
     # MinDist > distk is entirely dominated via MinMax (Lemma 9).
-    collect = _collector(query, criterion, result, budget, distk, anchors)
-    _collect_rows(memtable, distk, collect, result)
-    result.entries_considered += len(memtable)
+    kept = _band_filter(query, criterion, result, budget, anchors)
+    if memtable is not None:
+        _collect(*memtable, distk, kept, result)
+        result.entries_considered += len(memtable[0])
     hits = 0
     stack: "list[tuple[SSTreeNode, int]]" = [(root, 0)]
     while stack:
         node, depth = stack.pop()
         if budget is not None and budget.charge_node() is not None:
             break
-        if _safe(type(node).min_dist, node, query, 0.0, result) > distk:
+        if _beyond(_safe(type(node).min_dist, node, query, 0.0, result), distk):
             result.pruned_case3 += 1
             continue
         result.nodes_visited += 1
         if levels is not None:
             levels[depth] = levels.get(depth, 0) + 1
         if node.is_leaf:
-            for key, sphere in node.entries:
-                if budget is not None and budget.charge_candidate() is not None:
-                    stack.clear()
-                    break
-                result.entries_considered += 1
-                if key in shadowed:
-                    hits += 1
-                    continue
-                collect(key, sphere, _safe(max_dist, sphere, query, math.inf, result))
+            entries = node.entries
+            if (
+                budget is not None
+                and budget.charge_candidate(len(entries)) is not None
+            ):
+                break
+            result.entries_considered += len(entries)
+            bounds = swept.pop(node, None)
+            if bounds is None:
+                bounds = _sweep(node.centers, node.radii, query, result)
+            dead = (
+                [i for i, (key, _) in enumerate(entries) if key in shadowed]
+                if shadowed
+                else []
+            )
+            hits += len(dead)
+            _collect(entries, *bounds, distk, kept, result, dead)
         else:
             stack.extend((child, depth + 1) for child in node.children)
     return hits
-
-
-def _collect_rows(
-    rows: "list[_Row]",
-    distk: float,
-    collect: "Callable[[object, Hypersphere, float], None]",
-    result: KNNResult,
-) -> None:
-    """Phase 2 over rows with known bounds, Case 3 settled by MinDist."""
-    for key, sphere, dist_max, dist_min in rows:
-        if dist_min > distk:
-            result.pruned_case3 += 1
-        else:
-            collect(key, sphere, dist_max)
-
-
-def _offer(
-    top: "list[tuple[float, int, Hypersphere]]",
-    k: int,
-    dist_max: float,
-    sphere: Hypersphere,
-    tiebreak: "itertools.count[int]",
-) -> None:
-    """Keep *sphere* in phase 1's top-k if it is among the k nearest."""
-    if len(top) < k:
-        heapq.heappush(top, (-dist_max, next(tiebreak), sphere))
-    elif dist_max < -top[0][0]:
-        heapq.heapreplace(top, (-dist_max, next(tiebreak), sphere))
 
 
 def _scan_linear(
@@ -563,30 +642,41 @@ def _scan_linear(
     result: KNNResult,
     budget: "Budget | None",
     shadowed: "frozenset[object]",
-    memtable: "list[_Row]",
+    memtable: "_Block | None",
     cut: bool,
 ) -> int:
     """Both phases as one vectorised sweep; returns the rows skipped."""
     if budget is not None:
         # The vectorised scan considers every entry in one sweep.
         budget.charge_candidate(len(index))
-    rows = _rows(
-        index.keys, index.spheres, index.centers, index.radii, query, result
-    )
-    rows = [row for row in rows if row[0] not in shadowed] + memtable
-    if len(rows) < k:
+    entries = list(zip(index.keys, index.spheres))
+    dist_max, dist_min = _sweep(index.centers, index.radii, query, result)
+    if shadowed:
+        live = [i for i, key in enumerate(index.keys) if key not in shadowed]
+        entries = [entries[i] for i in live]
+        dist_max, dist_min = dist_max[live], dist_min[live]
+    if memtable is not None:
+        entries += memtable[0]
+        dist_max = np.concatenate([dist_max, memtable[1]])
+        dist_min = np.concatenate([dist_min, memtable[2]])
+    if len(entries) < k:
         if not cut:
-            raise ValidationError(f"k={k} exceeds the dataset size {len(rows)}")
+            raise ValidationError(f"k={k} exceeds the dataset size {len(entries)}")
         distk, anchors = math.inf, []
     else:
-        distk = heapq.nsmallest(k, [row[2] for row in rows])[-1]
+        distk = float(np.partition(dist_max, k - 1)[k - 1])
         # Every row attaining distk is an anchor (as in knn_reference).
-        anchors = [] if cut else [row[1] for row in rows if row[2] == distk]
+        anchors = (
+            []
+            if cut
+            else [entries[i][1] for i in np.flatnonzero(dist_max == distk)]
+        )
     result.distk = distk
-    result.entries_considered = len(index) + len(memtable)
-    collect = _collector(query, criterion, result, budget, distk, anchors)
-    _collect_rows(rows, distk, collect, result)
-    return len(index) + len(memtable) - len(rows)
+    considered = len(index) + (len(memtable[0]) if memtable is not None else 0)
+    result.entries_considered = considered
+    kept = _band_filter(query, criterion, result, budget, anchors)
+    _collect(entries, dist_max, dist_min, distk, kept, result)
+    return considered - len(entries)
 
 
 def _any_anchor_dominates(

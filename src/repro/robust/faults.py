@@ -14,7 +14,9 @@ that claim testable by corrupting the kernels at their seams:
     reduction feeding ``(t, rho)`` into the 2-D kernel.
 ``"distance"``
     :func:`repro.geometry.distance.dist`, used by the overlap and
-    center-side fast paths.
+    center-side fast paths, and its row-wise twin
+    :func:`~repro.geometry.distance.dists`, which bounds the rows of a
+    kNN leaf, memtable or flat scan in one sweep (one call, one hit).
 ``"index"``
     The node distance bounds (``min_dist`` and
     ``max_dist_lower_bound``) of all three tree indexes — the values a
@@ -304,6 +306,7 @@ def _patch_frame(fault: InjectedFault) -> "Iterator[None]":
 @contextlib.contextmanager
 def _patch_distance(fault: InjectedFault) -> "Iterator[None]":
     original_dist = _distance.dist
+    original_dists = _distance.dists
 
     def corrupted_dist(
         p: "Sequence[float] | np.ndarray", q: "Sequence[float] | np.ndarray"
@@ -315,11 +318,25 @@ def _patch_distance(fault: InjectedFault) -> "Iterator[None]":
             raise FaultInjected("injected fault in dist")
         return fault.corrupt_scalar(value)
 
+    def corrupted_dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+        values = original_dists(points, q)
+        if not fault.fires():
+            return values
+        if fault.mode == "raise":
+            raise FaultInjected("injected fault in dists")
+        if fault.mode == "nan":
+            return np.full_like(values, np.nan)
+        if fault.mode == "overflow":
+            return np.full_like(values, np.inf)
+        return values * (1.0 + fault.magnitude)
+
     try:
         _distance.dist = corrupted_dist
+        _distance.dists = corrupted_dists
         yield
     finally:
         _distance.dist = original_dist
+        _distance.dists = original_dists
 
 
 @contextlib.contextmanager

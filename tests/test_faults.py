@@ -53,6 +53,7 @@ class TestInjectionMechanics:
             quartic.solve_quartic_real_batch,
             FocalFrame.reduce,
             distance.dist,
+            distance.dists,
         )
         for seam in faults.SEAMS:
             with faults.inject(seam, "nan"):
@@ -63,6 +64,7 @@ class TestInjectionMechanics:
             quartic.solve_quartic_real_batch,
             FocalFrame.reduce,
             distance.dist,
+            distance.dists,
         ) == originals
 
     def test_seams_restored_even_when_body_raises(self):
@@ -79,6 +81,15 @@ class TestInjectionMechanics:
         assert [i for i, v in enumerate(values) if np.isnan(v)] == [0, 3, 6]
         assert fault.calls == 9
         assert fault.hits == 3
+
+    def test_row_sweep_is_one_call_of_the_distance_seam(self):
+        points = np.array([[0.0, 0.0], [3.0, 4.0]])
+        with faults.inject("distance", "nan", every=2) as fault:
+            first = distance.dists(points, np.zeros(2))
+            second = distance.dists(points, np.zeros(2))
+        assert np.isnan(first).all()
+        assert second.tolist() == [0.0, 5.0]
+        assert (fault.calls, fault.hits) == (2, 1)
 
     def test_raise_mode_raises_arithmetic_error(self):
         with faults.inject("distance", "raise"):

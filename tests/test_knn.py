@@ -10,8 +10,20 @@ from repro.exceptions import ExperimentError, QueryError, ValidationError
 from repro.experiments.incremental import incremental_knn
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
+from repro.index.mtree import MTree
 from repro.index.sstree import SSTree
+from repro.index.vptree import VPTree
 from repro.queries.knn import knn_query, knn_reference
+
+
+def _index(kind, items):
+    """*items* under one index kind, with nodes small enough to split."""
+    return {
+        "sstree": lambda: SSTree.bulk_load(items, max_entries=4),
+        "vptree": lambda: VPTree.build(items, leaf_capacity=4),
+        "mtree": lambda: MTree.build(items, max_entries=4),
+        "linear": lambda: LinearIndex(items),
+    }[kind]()
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +93,32 @@ class TestTwoPhaseExactness:
         _, tree, _, queries = world
         result = knn_query(tree, queries[0], 1)
         assert result.nodes_visited < tree.node_count() * 2  # two passes
+
+
+class TestTiesAtDistk:
+    """Every object attaining distk is an anchor, on every index."""
+
+    CENTERS = {
+        "A": [1.0, 0.0],
+        "B": [-1.0, 0.0],
+        "C": [-1.3, 0.0],
+        "D": [1.3, 0.0],
+        "E": [0.0, 5.0],
+        "F": [0.0, -5.0],
+    }
+
+    @pytest.mark.parametrize("kind", ("sstree", "vptree", "mtree", "linear"))
+    def test_every_tied_object_anchors(self, kind):
+        # A and B tie at the k=1 MaxDist; B dominates C and A dominates
+        # D, so anchoring on only one of A, B would wrongly keep C or D.
+        items = [
+            (key, Hypersphere(center, 0.1)) for key, center in self.CENTERS.items()
+        ]
+        query = Hypersphere([0.0, 0.0], 0.1)
+        assert knn_reference(items, query, 1).key_set() == {"A", "B"}
+        result = knn_query(_index(kind, items), query, 1)
+        assert result.key_set() == {"A", "B"}
+        assert result.distk == pytest.approx(1.2)
 
 
 class TestIncrementalAlgorithm:
@@ -190,6 +228,20 @@ class TestEdgeCases:
         query = Hypersphere([0.0, 0.0], 0.5)
         result = knn_query(tree, query, 20)
         assert result.key_set() == set(range(20))
+
+    @pytest.mark.parametrize("kind", ("sstree", "vptree", "mtree"))
+    def test_node_bound_rounding_never_prunes_sk(self, kind):
+        # A node's MinDist bound can round above the MaxDist of the
+        # object defining distk (SS-tree: |centroid - q| - radius is
+        # 0.4200000000000004, MaxDist(c) is 0.42000000000000015); a
+        # strict comparison pruned the leaf holding Sk and answered {}.
+        items = [
+            ("a", Hypersphere([-3.44], 0.0)),
+            ("b", Hypersphere([-2.88], 0.0)),
+            ("c", Hypersphere([1.66], 0.0)),
+        ]
+        query = Hypersphere([2.08], 0.0)
+        assert knn_query(_index(kind, items), query, 1).key_set() == {"c"}
 
     def test_point_objects_and_point_query(self):
         items = [(i, Hypersphere([float(i), 0.0], 0.0)) for i in range(50)]
