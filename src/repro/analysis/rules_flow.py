@@ -570,7 +570,7 @@ class BudgetChargeCoverageRule(Rule):
 
     _SOURCES = frozenset(
         {"entries", "candidates", "plausible", "children", "neighbors",
-         "ranked"}
+         "ranked", "blocks"}
     )
     _WORKLISTS = frozenset(
         {"heap", "stack", "queue", "frontier", "worklist"}

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.geometry.quartic import solve_quartic_real_batch
+from repro.geometry import quartic
 from repro.obs import names
 
 #: Anything convertible to an ``(n, d)`` float array of centers.
@@ -180,7 +180,9 @@ def _batch_distance_to_hyperbola(
         ],
         axis=1,
     )
-    lam = solve_quartic_real_batch(coefficients)  # (n, 4), nan padded
+    # Resolved at call time, like the scalar kernel's solver, so the
+    # quartic fault seam reaches batched decisions too.
+    lam = quartic.solve_quartic_real_batch(coefficients)  # (n, 4), nan padded
 
     def quadric_y_sq(x: np.ndarray) -> np.ndarray:
         """``y^2`` placing ``(x, y)`` on the quadric (may be negative)."""

@@ -70,6 +70,14 @@ _HYPERBOLA_KEYS = {
     names.HYPERBOLA_VERTEX_1D: "vertex_1d",
     names.HYPERBOLA_BISECTOR: "bisector",
     names.HYPERBOLA_QUARTIC: "quartic",
+    # Batch-kernel rows fold into the same labels, summed with the scalar
+    # calls: a flat scan decides its pairs in blocks, one row per pair.
+    names.BATCH_HYPERBOLA_ROWS: "calls",
+    names.BATCH_HYPERBOLA_OVERLAP_ROWS: "fast_path_overlap",
+    names.BATCH_HYPERBOLA_CENTER_OUTSIDE_ROWS: "fast_path_center_outside",
+    names.BATCH_HYPERBOLA_POINT_QUERY_ROWS: "fast_path_point_query",
+    names.BATCH_HYPERBOLA_BISECTOR_ROWS: "bisector",
+    names.BATCH_HYPERBOLA_QUARTIC_ROWS: "quartic",
 }
 
 
@@ -89,7 +97,8 @@ class QueryExplain:
     traversal: "dict[str, int]"
     #: Per-tier cascade outcomes (MinMax accepts/rejects, fall-throughs).
     cascade: "dict[str, int]"
-    #: Hyperbola fast-path / slow-path breakdown behind fall-throughs.
+    #: Hyperbola fast-path / slow-path breakdown behind fall-throughs:
+    #: scalar calls plus batch-kernel rows, summed per label.
     hyperbola: "dict[str, int]"
     #: Certified-ladder stage attempts (``verified.stage.<stage>`` keys).
     ladder: "dict[str, int]"
@@ -295,11 +304,10 @@ class _ExplainCollector:
             for key, label in _CASCADE_KEYS.items()
             if key in counters
         }
-        hyperbola = {
-            label: counters[key]
-            for key, label in _HYPERBOLA_KEYS.items()
-            if key in counters
-        }
+        hyperbola: "dict[str, int]" = {}
+        for key, label in _HYPERBOLA_KEYS.items():
+            if key in counters:
+                hyperbola[label] = hyperbola.get(label, 0) + counters[key]
         ladder = {
             key: value
             for key, value in counters.items()

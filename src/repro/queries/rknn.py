@@ -19,13 +19,26 @@ whose uncertainty regions leave the outcome undecided remain
 candidates); a correct-but-unsound criterion refutes less and returns a
 superset, mirroring the kNN precision experiments.
 
+The scan sweeps the n x n pair matrix in column blocks of at most
+:data:`repro.queries.blocks.BLOCK_PAIRS` pairs (column ``b`` holds the
+competitors ``Sa`` of object ``Sb``).  Per block the center gaps are
+computed once; a vectorised MinMax pre-filter refutes what it can and a
+plausibility test (``MinDist(Sa, Sb) <= MaxDist(Sq, Sb)``, self
+excluded) drops pairs that cannot dominate.  Every surviving pair is
+then decided by one :func:`repro.core.batch.batch_evaluate` call (paper
+Section 5.2), OR-reduced per column.  Criteria without a batch kernel
+(``cascade``, ``verified``) decide the pairs one scalar call at a time,
+stopping at an object's first refutation.
+
 Resilience: membership here is refute-only, so every degradation is a
-*kept* candidate.  A raising criterion on one pair keeps that pair's
-candidate (absorbed fault); an exhausted
-:class:`repro.resilience.Budget` keeps every not-yet-examined object
-and returns a :class:`repro.resilience.PartialResult` — the candidate
-set is then a superset of the exact one, never missing a true
-reverse-NN.
+*kept* candidate.  A raising batch kernel sends its block through the
+scalar per-pair pass (one absorbed fault); a raising criterion on one
+pair keeps that pair's candidate (absorbed fault).  Each block charges
+one candidate per object before it is swept, so an exhausted
+:class:`repro.resilience.Budget` keeps every not-yet-examined object,
+exactly as an object-at-a-time scan would, and returns a
+:class:`repro.resilience.PartialResult` — the candidate set is then a
+superset of the exact one, never missing a true reverse-NN.
 """
 
 from __future__ import annotations
@@ -39,8 +52,10 @@ from repro import obs
 from repro.obs import export as obs_export
 from repro.obs import names
 from repro.core.base import DominanceCriterion, get_criterion
+from repro.core.batch import available_kernels, batch_evaluate
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
+from repro.queries.blocks import blocks, charge_rows
 from repro.queries.explain import ExplainedResult, explain_capture
 from repro.queries.validation import validate_query
 from repro.resilience.budget import current as current_budget
@@ -50,6 +65,9 @@ if TYPE_CHECKING:
     from repro.stream.overlay import DeltaOverlay
 
 __all__ = ["rnn_candidates"]
+
+#: Criteria whose pairs a block refines with one batch-kernel call.
+_BATCH_KERNELS = frozenset(available_kernels())
 
 
 def rnn_candidates(
@@ -123,52 +141,84 @@ def _run_rnn(
     if budget is not None:
         budget.start()
 
+    n = len(dataset)
     centers = dataset.centers
     radii = dataset.radii
-    keys = dataset.keys
     spheres = dataset.spheres
+    batched = criterion.name in _BATCH_KERNELS
     # Duck-typed tally of certified-criterion abstentions (see knn.py).
     uncertain_before = int(getattr(criterion, "uncertain_count", 0))
     report = ResilienceReport()
     absorbed = 0
-    survivors: list = []
-    for b, (key, sphere_b) in enumerate(zip(keys, spheres)):
-        if budget is not None and budget.charge_candidate() is not None:
-            # Out of budget: an unexamined object cannot be refuted, so
-            # it stays a candidate — the answer set only widens.
-            report.mark_incomplete(budget.exhausted() or "deadline")
-            survivors.extend(keys[b:])
-            break
+    refuted = np.zeros(n, dtype=bool)
+    examined = n
+    gaps_q = np.linalg.norm(centers - query.center, axis=1)
+    for lo, hi in blocks(n):
+        if budget is not None:
+            granted = charge_rows(budget, lo, hi, 1)
+            if granted < hi:
+                # Out of budget: an unexamined object cannot be refuted,
+                # so it stays a candidate — the answer set only widens.
+                report.mark_incomplete(budget.exhausted() or "deadline")
+                examined = hi = granted
+        if lo == hi:
+            break  # cut at the block's first object
+        own = np.arange(lo, hi)
+        columns = own - lo
+        rb = radii[lo:hi]
+        gaps = np.linalg.norm(centers[:, None, :] - centers[None, lo:hi], axis=2)
         # Vectorised MinMax pre-filter (correct, so pruning is safe):
         # Sa dominates Sq wrt Sb when MaxDist(Sa, Sb) < MinDist(Sq, Sb).
-        gap_qb = float(np.linalg.norm(query.center - sphere_b.center))
-        min_dist_q = max(gap_qb - query.radius - sphere_b.radius, 0.0)
-        gaps = np.linalg.norm(centers - sphere_b.center, axis=1)
-        max_dists = gaps + radii + sphere_b.radius
-        max_dists[b] = np.inf  # an object never competes against itself
-        if bool(np.any(max_dists < min_dist_q)):
-            continue  # refuted already by the pre-filter
-        # Exact pass over the plausible competitors only.  Dominance of Sq
-        # wrt Sb needs MinDist(Sa, Sb) <= MaxDist(Sq, Sb) (a necessary
-        # condition), so anything farther can be skipped safely.
-        plausible = np.flatnonzero(
-            gaps - radii - sphere_b.radius
-            <= gap_qb + query.radius + sphere_b.radius
-        )
-        refuted = False
-        for a in plausible:
-            if a == b:
-                continue
+        min_dist_q = np.maximum(gaps_q[lo:hi] - query.radius - rb, 0.0)
+        max_dists = gaps + radii[:, None] + rb
+        max_dists[own, columns] = np.inf  # an object never competes against itself
+        block = refuted[lo:hi]  # a view: refuting a column marks refuted
+        block |= np.any(max_dists < min_dist_q, axis=0)
+        # Exact pass over the plausible pairs of unrefuted columns only.
+        # Dominance of Sq wrt Sb needs MinDist(Sa, Sb) <= MaxDist(Sq, Sb)
+        # (a necessary condition), so anything farther can be skipped.
+        plausible = gaps - radii[:, None] - rb <= gaps_q[lo:hi] + query.radius + rb
+        plausible[own, columns] = False
+        plausible[:, block] = False
+        scalar = not batched
+        if batched:
+            rows, cols = np.nonzero(plausible)
             try:
-                if criterion.dominates(spheres[a], query, sphere_b):
-                    refuted = True
-                    break
+                hits = batch_evaluate(
+                    criterion.name,
+                    centers[rows],
+                    np.broadcast_to(query.center, (rows.size, dataset.dimension)),
+                    centers[lo + cols],
+                    radii[rows],
+                    np.full(rows.size, query.radius),
+                    rb[cols],
+                )
             except ArithmeticError:
-                # A broken kernel cannot prove a prune safe: keep the
-                # pair unrefuted and count the absorption.
+                # A broken kernel proves nothing: redo the block pair by
+                # pair, and count the absorption.
                 absorbed += 1
-        if not refuted:
-            survivors.append(key)
+                scalar = True
+            else:
+                block[cols[hits]] = True
+        if scalar:
+            for column in np.flatnonzero(~block):
+                sphere_b = spheres[lo + column]
+                for a in np.flatnonzero(plausible[:, column]):
+                    try:
+                        if criterion.dominates(spheres[a], query, sphere_b):
+                            block[column] = True
+                            break
+                    except ArithmeticError:
+                        # A broken kernel cannot prove a prune safe: keep
+                        # the pair unrefuted and count the absorption.
+                        absorbed += 1
+        if not report.complete:
+            break
+    survivors = [
+        key
+        for b, key in enumerate(dataset.keys)
+        if b >= examined or not refuted[b]
+    ]
     report.uncertain = (
         int(getattr(criterion, "uncertain_count", 0)) - uncertain_before
     )

@@ -22,7 +22,6 @@ from repro import obs
 from repro.data.synthetic import synthetic_dataset
 from repro.data.workload import knn_queries
 from repro.exceptions import SnapshotError
-from repro.geometry.hypersphere import Hypersphere
 from repro.index import snapshot as snap
 from repro.index.sstree import SSTree
 from repro.obs import names
@@ -34,6 +33,7 @@ from repro.robust import faults
 
 QUERY_SEAMS = ("quartic", "frame", "distance", "index")
 N, DIMENSION, K = 130, 3, 8
+GENEROUS = dict(max_candidates=10**9, max_escalations=10**9, deadline_s=3600.0)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,33 @@ def queries(dataset, tree):
         if len(picked) == 3:
             return picked
     raise AssertionError("no query reaches the Hyperbola kernel")
+
+
+@pytest.fixture(scope="module")
+def flat_queries(dataset):
+    """Two queries whose RkNN and dominating sweeps solve quartics.
+
+    A query far from the data settles every pair on a fast path, which
+    would leave the quartic seam idle.  These are the first two of a
+    seeded stream whose clean runs of both kinds solve a quartic.
+    """
+    items = list(dataset.items())
+    picked = []
+    for query in knn_queries(dataset, count=60, seed=29):
+        solved = []
+        for run in (rnn_candidates, dominance_scores):
+            with obs.enabled_scope(True), obs.scope():
+                run(items, query)
+                counters = obs.collect()["counters"]
+            solved.append(
+                counters.get(names.HYPERBOLA_QUARTIC, 0)
+                + counters.get(names.BATCH_HYPERBOLA_QUARTIC_ROWS, 0)
+            )
+        if all(solved):
+            picked.append(query)
+        if len(picked) == 2:
+            return picked
+    raise AssertionError("no query reaches the quartic in both flat scans")
 
 
 @pytest.fixture(scope="module")
@@ -140,26 +167,47 @@ class TestQuerySeamInvariant:
             assert result.distk == clean.distk
             assert result.absorbed_faults > 0
 
-    def test_raising_criterion_keeps_rnn_candidates(self, dataset):
-        # Refute-only degradation: a broken criterion cannot prove a
-        # prune safe, so the candidate set only ever widens.
-        items = list(dataset.items())[:60]
-        query = Hypersphere([100.0, 100.0, 100.0], 0.1)
-        clean = rnn_candidates(items, query)
-        with faults.inject("quartic", "raise", every=2):
-            faulted = rnn_candidates(items, query)
-        assert set(clean) <= set(faulted)
+    def test_raising_criterion_keeps_rnn_candidates(self, dataset, flat_queries):
+        # Refute-only degradation: a raising block kernel sends its block
+        # through the scalar per-pair pass, where a raising pair stays
+        # unrefuted, so the candidate set only ever widens.
+        items = list(dataset.items())
+        hits = 0
+        absorbed = 0
+        for query in flat_queries:
+            clean = rnn_candidates(items, query)
+            with faults.inject("quartic", "raise", every=2) as fault:
+                with scope(Budget(**GENEROUS)):
+                    faulted = rnn_candidates(items, query)
+            assert faulted.complete
+            assert set(clean) <= set(faulted)
+            hits += fault.hits
+            absorbed += faulted.report.absorbed_faults
+        assert hits > 0, "the quartic seam never fired during RkNN"
+        assert absorbed > 0
 
-    def test_raising_kernel_only_undercounts_dominance_scores(self, dataset):
-        items = list(dataset.items())[:50]
-        query = Hypersphere([100.0, 100.0, 100.0], 0.2)
-        clean = dominance_scores(items, query)
-        with faults.inject("quartic", "raise", every=2):
-            faulted = dominance_scores(items, query)
-        assert [s.key for s in faulted] == [s.key for s in clean]
-        assert all(
-            got.score <= want.score for got, want in zip(faulted, clean)
-        )
+    def test_raising_kernel_only_undercounts_dominance_scores(
+        self, dataset, flat_queries
+    ):
+        # A raising block kernel rescores its block with MinMax, which
+        # can only undercount dominations.
+        items = list(dataset.items())
+        hits = 0
+        absorbed = 0
+        for query in flat_queries:
+            clean = dominance_scores(items, query)
+            with faults.inject("quartic", "raise", every=2) as fault:
+                with scope(Budget(**GENEROUS)):
+                    faulted = dominance_scores(items, query)
+            assert faulted.complete
+            assert [s.key for s in faulted] == [s.key for s in clean]
+            assert all(
+                got.score <= want.score for got, want in zip(faulted, clean)
+            )
+            hits += fault.hits
+            absorbed += faulted.report.absorbed_faults
+        assert hits > 0, "the quartic seam never fired during dominating"
+        assert absorbed > 0
 
 
 class TestSnapshotSeamInvariant:

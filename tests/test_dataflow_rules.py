@@ -11,10 +11,13 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint_paths, rules_by_name
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REAL_WAL = REPO_ROOT / "src" / "repro" / "stream" / "wal.py"
+REAL_QUERIES = REPO_ROOT / "src" / "repro" / "queries"
 
 
 def lint_tree(
@@ -529,3 +532,44 @@ class TestBudgetChargeCoverage:
             ["DOM206"],
         )
         assert found(report) == []
+
+    def test_uncharged_block_sweep_is_caught(self, tmp_path):
+        report = lint_tree(
+            tmp_path,
+            {
+                "queries/scan.py": """\
+                from repro.resilience.budget import current as current_budget
+
+                def scan(n):
+                    budget = current_budget()
+                    for lo, hi in blocks(n):
+                        sweep(lo, hi)
+                """
+            },
+            ["DOM206"],
+        )
+        assert found(report) == [("budget-charge-coverage", 5)]
+
+    @pytest.mark.parametrize(
+        "module, charge",
+        [
+            ("rknn", "charge_rows(budget, lo, hi, 1)"),
+            ("dominating", "charge_rows(budget, lo, hi, n)"),
+        ],
+    )
+    def test_dropped_charge_before_a_block_sweep_is_caught(
+        self, tmp_path, module, charge
+    ):
+        """The shipped flat scans are clean; with the per-object charge
+        before a block sweep dropped, DOM206 flags the block loop."""
+        source = (REAL_QUERIES / f"{module}.py").read_text(encoding="utf-8")
+        assert source.count(charge) == 1
+        files = {"queries/blocks.py": (REAL_QUERIES / "blocks.py").read_text()}
+        files[f"queries/{module}.py"] = source
+        assert found(lint_tree(tmp_path, files, ["DOM206"])) == []
+        files[f"queries/{module}.py"] = source.replace(charge, "hi")
+        report = lint_tree(tmp_path, files, ["DOM206"])
+        assert any(
+            "for lo, hi in blocks(n):" in finding.snippet
+            for finding in report.actionable
+        )

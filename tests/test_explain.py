@@ -167,6 +167,8 @@ class TestOtherKindsExplain:
             explained.explain.signature()
             == rnn_candidates(flat, query, explain=True).explain.signature()
         )
+        # Batch-kernel rows fold into the Hyperbola breakdown.
+        assert explained.explain.hyperbola["quartic"] > 0
 
     def test_dominating_explain(self, world):
         dataset, _, query = world
@@ -176,6 +178,7 @@ class TestOtherKindsExplain:
         assert [s.key for s in plain] == [s.key for s in explained]
         assert explained.explain.kind == "dominating"
         assert explained.explain.answer_size == 3
+        assert explained.explain.hyperbola["quartic"] > 0
 
 
 class TestExplainCli:

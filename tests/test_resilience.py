@@ -390,6 +390,13 @@ class TestBudgetedRNN:
         assert budgeted.report.exhausted == "candidates"
         # Refute-only degradation: the candidate set only ever widens.
         assert set(clean) <= set(budgeted)
+        # The 15 charged objects were examined exactly; every later one
+        # is kept unexamined.
+        keys = [key for key, _ in small]
+        assert [key in budgeted for key in keys[:15]] == [
+            key in clean for key in keys[:15]
+        ]
+        assert all(key in budgeted for key in keys[15:])
 
     def test_unbudgeted_returns_a_plain_list(self, small, query):
         assert isinstance(rnn_candidates(small, query), list)
@@ -417,9 +424,12 @@ class TestBudgetedDominating:
             budgeted = dominance_scores(small, query)
         assert isinstance(budgeted, PartialResult)
         assert not budgeted.complete
-        # Every key still appears, late rows at the universal lower bound.
+        # Every key still appears: the 10 charged rows scored exactly,
+        # the later rows at the universal lower bound.
+        clean = dominance_scores(small, query)
         assert len(budgeted) == len(small)
-        assert all(score.score == 0 for score in list(budgeted)[11:])
+        assert list(budgeted)[:10] == clean[:10]
+        assert all(score.score == 0 for score in list(budgeted)[10:])
 
     def test_top_k_under_budget_carries_the_scoring_report(self, small, query):
         with scope(Budget(max_candidates=10 * len(small))):
