@@ -4,8 +4,16 @@ The paper's dominance experiments run workloads of 10,000 random
 ``(Sa, Sb, Sq)`` triples; evaluating those one Python call at a time
 would measure interpreter overhead rather than the criteria.  This
 module evaluates a whole workload at once with array kernels that
-mirror the scalar implementations exactly (the test suite asserts
-agreement element-by-element).
+mirror the scalar implementations (the test suite asserts agreement
+element-by-element).
+
+The Hyperbola kernel filters before it refines: a closed-form bracket
+``lower <= dmin <= upper`` settles every curved row whose ``rq`` falls
+clear of it, and only the rows in between solve the Equation (14)
+quartic.  Its decisions equal the scalar kernel's wherever the quartic
+finds its roots.  Where the quartic overestimates ``dmin`` (nearly flat
+hyperbolas), a row the bracket settles gets the right answer and the
+scalar kernel does not.
 
 All functions share the same signature: six arrays describing ``n``
 triples —
@@ -23,6 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.hyperbola import _BISECTOR_THRESHOLD
 from repro.geometry import quartic
 from repro.obs import names
 
@@ -142,6 +151,13 @@ def batch_trigonometric(
     return result
 
 
+# A closed-form bound on ``dmin`` settles a row only when it clears
+# ``rq`` by this much relative to the row's length scale
+# ``alpha + |t| + rho``; closer rows go to the quartic, so rounding in
+# the bounds never decides a row the quartic would decide otherwise.
+_BRACKET_GUARD = 1e-9
+
+
 def _reduce_to_half_plane(
     ca: np.ndarray, cb: np.ndarray, cq: np.ndarray, gap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +175,12 @@ def _batch_distance_to_hyperbola(
 ) -> np.ndarray:
     """Vectorised :func:`repro.core.hyperbola._distance_to_hyperbola_2d`.
 
-    Rows must satisfy ``0 < rab < 2 * alpha``.
+    Rows must satisfy ``0 < rab < 2 * alpha``.  Like the scalar kernel,
+    each row is solved in units of its ``alpha`` and scaled back.
     """
+    unit = alpha
+    t, rho, rab = t / unit, rho / unit, rab / unit
+    alpha = np.ones_like(unit)
     rab_sq = rab * rab
     alpha_sq = alpha * alpha
     a1 = (16.0 * alpha_sq - 4.0 * rab_sq) * t * t
@@ -220,7 +240,31 @@ def _batch_distance_to_hyperbola(
     ring_sq = (t - x_ring) ** 2 + (rho - y_ring) ** 2
     best_sq = np.where(valid_ring, np.minimum(best_sq, ring_sq), best_sq)
 
-    return np.sqrt(best_sq)
+    return unit * np.sqrt(best_sq)
+
+
+def _dmin_bracket(
+    t: np.ndarray, rho: np.ndarray, alpha: np.ndarray, rab: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form ``lower <= dmin <= upper`` per row, and the row's guard.
+
+    Takes the same rows as :func:`_batch_distance_to_hyperbola`, with
+    the query center inside ``Ra``.  With ``a = rab / 2`` and ``b =
+    sqrt(alpha^2 - a^2)``, the convex region ``Ra`` contains the cone
+    whose apex is its vertex ``(-a, 0)`` and whose edges are parallel
+    to the asymptotes, so the distance to that cone's edge is a lower
+    bound.  ``Ra`` lies inside the asymptotic cone and inside the
+    half-plane ``t <= -a``, and the vertex is a boundary point, so the
+    distances to those three are upper bounds.
+    """
+    a = rab / 2.0
+    b = np.sqrt((alpha - a) * (alpha + a))
+    lower = (-b * (t + a) - a * rho) / alpha
+    upper = np.minimum(
+        np.minimum((-b * t - a * rho) / alpha, -t - a), np.hypot(t + a, rho)
+    )
+    guard = _BRACKET_GUARD * (alpha + np.abs(t) + rho)
+    return lower, upper, guard
 
 
 def batch_hyperbola(
@@ -275,20 +319,28 @@ def batch_hyperbola(
     # Same threshold as the scalar kernel: a hyperbola this flat is the
     # bisector hyperplane to within float resolution (and the quartic
     # coefficients would underflow).
-    flat = rab <= 0.5e-9 * gap  # alpha = gap / 2
+    flat = rab <= _BISECTOR_THRESHOLD * gap / 2.0  # alpha = gap / 2
     bisector = live & flat
     result[bisector] = np.abs(t[bisector]) > rq[bisector]
 
-    curved = live & ~flat
+    # Curved rows: the closed-form bracket settles every row whose rq
+    # falls clear of it; only the band in between solves the quartic.
+    idx = np.flatnonzero(live & ~flat)
+    alpha = gap[idx] / 2.0
+    lower, upper, guard = _dmin_bracket(t[idx], rho[idx], alpha, rab[idx])
+    dominated = lower > rq[idx] + guard
+    band = ~dominated & (upper >= rq[idx] - guard)
+    result[idx[dominated]] = True
+    solve = idx[band]
     if obs.ENABLED:
         obs.incr(names.BATCH_HYPERBOLA_BISECTOR_ROWS, int(bisector.sum()))
-        obs.incr(names.BATCH_HYPERBOLA_QUARTIC_ROWS, int(curved.sum()))
-    if np.any(curved):
-        idx = np.flatnonzero(curved)
+        obs.incr(names.BATCH_HYPERBOLA_BOUNDED_ROWS, int(idx.size - solve.size))
+        obs.incr(names.BATCH_HYPERBOLA_QUARTIC_ROWS, int(solve.size))
+    if solve.size:
         dmin = _batch_distance_to_hyperbola(
-            t[idx], rho[idx], gap[idx] / 2.0, rab[idx]
+            t[solve], rho[solve], alpha[band], rab[solve]
         )
-        result[idx] = dmin > rq[idx]
+        result[solve] = dmin > rq[solve]
     return result
 
 

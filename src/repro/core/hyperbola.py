@@ -103,6 +103,13 @@ def _distance_to_hyperbola_2d(
     point is ``(t, rho)`` with ``rho >= 0``.  Requires ``0 < rab <
     2*alpha`` (the caller guarantees it via the overlap fast-path).
 
+    The search runs in units of ``alpha``: ``t``, ``rho`` and ``rab``
+    are divided by ``alpha``, the quartic is solved with ``alpha = 1``
+    and the distance is scaled back.  The Equation (14) coefficients
+    span a ratio that grows as ``alpha^8`` with the scene's length
+    scale, so on a small scene the solver would otherwise trim the
+    leading coefficient as zero and lose the nearest point's root.
+
     *solver* substitutes a different quartic root solver (used by the
     :mod:`repro.robust` escalation ladder to drive the same candidate
     enumeration through each precision stage); the default resolves
@@ -115,6 +122,8 @@ def _distance_to_hyperbola_2d(
     """
     if solver is None:
         solver = quartic.solve_quartic_real
+    unit = alpha
+    t, rho, rab, alpha = t / unit, rho / unit, rab / unit, 1.0
     rab_sq = rab * rab
     alpha_sq = alpha * alpha
     # Coefficients from Section 4.3.2 of the paper.
@@ -201,7 +210,7 @@ def _distance_to_hyperbola_2d(
         # nan candidates lose every `<` comparison and leave best_sq at
         # +inf, which would certify any query radius.
         raise ArithmeticError("non-finite inputs to the boundary-distance search")
-    return math.sqrt(best_sq)
+    return unit * math.sqrt(best_sq)
 
 
 def min_distance_to_boundary(

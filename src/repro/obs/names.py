@@ -81,6 +81,7 @@ BATCH_HYPERBOLA_OVERLAP_ROWS = "batch.hyperbola.overlap_rows"
 BATCH_HYPERBOLA_CENTER_OUTSIDE_ROWS = "batch.hyperbola.center_outside_rows"
 BATCH_HYPERBOLA_POINT_QUERY_ROWS = "batch.hyperbola.point_query_rows"
 BATCH_HYPERBOLA_BISECTOR_ROWS = "batch.hyperbola.bisector_rows"
+BATCH_HYPERBOLA_BOUNDED_ROWS = "batch.hyperbola.bounded_rows"
 BATCH_HYPERBOLA_QUARTIC_ROWS = "batch.hyperbola.quartic_rows"
 
 # repro.geometry.quartic — solver selection.

@@ -77,6 +77,8 @@ _HYPERBOLA_KEYS = {
     names.BATCH_HYPERBOLA_CENTER_OUTSIDE_ROWS: "fast_path_center_outside",
     names.BATCH_HYPERBOLA_POINT_QUERY_ROWS: "fast_path_point_query",
     names.BATCH_HYPERBOLA_BISECTOR_ROWS: "bisector",
+    # Curved rows the closed-form dmin bracket settles without a quartic.
+    names.BATCH_HYPERBOLA_BOUNDED_ROWS: "bounded",
     names.BATCH_HYPERBOLA_QUARTIC_ROWS: "quartic",
 }
 

@@ -229,8 +229,15 @@ def _longdouble_dmin(
     alpha: "np.floating[Any]",
     rab: "np.floating[Any]",
 ) -> "np.floating[Any]":
-    """Extended-precision variant of the kernel's candidate search."""
+    """Extended-precision variant of the kernel's candidate search.
+
+    Runs in units of ``alpha``, as the float64 kernel does, so the
+    float64 seed roots do not lose the leading coefficient on small or
+    large scenes.
+    """
     ld = np.longdouble
+    unit = alpha
+    t, rho, rab, alpha = t / unit, rho / unit, rab / unit, ld(1.0)
     rab_sq = rab * rab
     alpha_sq = alpha * alpha
     a1 = (ld(16.0) * alpha_sq - ld(4.0) * rab_sq) * t * t
@@ -302,7 +309,7 @@ def _longdouble_dmin(
 
     if not np.isfinite(best_sq):
         raise ArithmeticError("non-finite inputs to the boundary-distance search")
-    return np.sqrt(best_sq)
+    return unit * np.sqrt(best_sq)
 
 
 # ----------------------------------------------------------------------

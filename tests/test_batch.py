@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from repro.core import get_criterion
+from repro.core import batch, get_criterion
 from repro.core.batch import (
+    _batch_distance_to_hyperbola,
+    _dmin_bracket,
+    _reduce_to_half_plane,
     batch_evaluate,
     batch_gp,
     batch_hyperbola,
@@ -17,6 +22,7 @@ from repro.core.batch import (
     batch_trigonometric,
 )
 from repro.geometry.hypersphere import Hypersphere
+from repro.robust.exact import exact_dominates
 
 ALL_KERNELS = ("hyperbola", "minmax", "mbr", "gp", "trigonometric")
 
@@ -174,3 +180,96 @@ class TestNaNPaddingContainment:
         result = batch_hyperbola(ca, cb, cq, ra, rb, rq)
         assert result.dtype == np.bool_
         assert bool(result[0]) is True
+
+
+def focal_rows(rng, n, d, alpha, flatness, t_span, rho_span):
+    """*n* ``(ca, cb, cq, ra, rb)`` rows placed by focal-frame coordinates.
+
+    The foci sit *alpha* either side of a random origin along a random
+    axis and ``ra + rb = 2 * alpha * flatness``.  The query center sits
+    at ``t = -alpha * 10**u`` along the axis and ``rho = alpha * 10**v``
+    off it, with ``u`` and ``v`` uniform over the log10 spans.
+    """
+    axis = rng.normal(size=(n, d))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    perp = rng.normal(size=(n, d))
+    perp -= np.einsum("ij,ij->i", perp, axis)[:, None] * axis
+    perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+    origin = rng.normal(0.0, 10.0 * alpha, (n, d))
+    t = -alpha * 10.0 ** rng.uniform(*t_span, n)
+    rho = alpha * 10.0 ** rng.uniform(*rho_span, n)
+    rab = 2.0 * alpha * flatness
+    ra = rab * rng.uniform(0.1, 0.9, n)
+    return (
+        origin - alpha * axis,
+        origin + alpha * axis,
+        origin + t[:, None] * axis + rho[:, None] * perp,
+        ra,
+        rab - ra,
+    )
+
+
+def reduced(ca, cb, cq, ra, rb):
+    """The ``(t, rho, alpha, rab)`` the kernel computes for each row."""
+    gap = np.linalg.norm(cb - ca, axis=1)
+    t, rho = _reduce_to_half_plane(ca, cb, cq, gap)
+    return t, rho, gap / 2.0, ra + rb
+
+
+def all_rows_quartic(*arrays):
+    """The Hyperbola kernel with every curved row solving the quartic."""
+
+    def unbounded(t, rho, alpha, rab):
+        return np.full_like(t, -np.inf), np.full_like(t, np.inf), np.zeros_like(t)
+
+    with mock.patch.object(batch, "_dmin_bracket", unbounded):
+        return batch_hyperbola(*arrays)
+
+
+class TestDminBracket:
+    """The closed-form dmin bracket settles rows, never changing a right one."""
+
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(-6, 6))
+    def test_bracket_agrees_with_the_all_rows_quartic(self, seed, d, exponent):
+        rng = np.random.default_rng(seed)
+        alpha = 10.0**exponent
+        flatness = 10.0 ** rng.uniform(-2.0, -0.05, 64)
+        ca, cb, cq, ra, rb = focal_rows(rng, 64, d, alpha, flatness, (-4, 1), (-4, 1))
+        rq = alpha * 10.0 ** rng.uniform(-4.0, 1.0, 64)
+        arrays = (ca, cb, cq, ra, rb, rq)
+        assert np.array_equal(batch_hyperbola(*arrays), all_rows_quartic(*arrays))
+
+        # Rows the bracket sees: the query center strictly inside Ra.
+        inside = (
+            np.linalg.norm(cb - cq, axis=1) - np.linalg.norm(ca - cq, axis=1)
+            > ra + rb
+        )
+        t, rho, half_gap, rab = (x[inside] for x in reduced(ca, cb, cq, ra, rb))
+        dmin = _batch_distance_to_hyperbola(t, rho, half_gap, rab)
+        lower, upper, guard = _dmin_bracket(t, rho, half_gap, rab)
+        assert np.all(lower <= dmin + guard)
+        assert np.all(dmin <= upper + guard)
+
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(-6, 6))
+    def test_nearly_flat_rows_just_outside_the_bracket(self, seed, d, exponent):
+        """The quartic overestimates dmin on many nearly flat rows; the
+        bracket must settle the rows clear of it exactly."""
+        rng = np.random.default_rng(seed)
+        alpha = 10.0**exponent
+        flatness = 10.0 ** rng.uniform(-8.0, -2.0, 16)
+        ca, cb, cq, ra, rb = focal_rows(
+            rng, 16, d, alpha, flatness, (np.log10(5e-2), 1), (-4, 0)
+        )
+        lower, upper, _ = _dmin_bracket(*reduced(ca, cb, cq, ra, rb))
+        rq = np.where(
+            rng.random(16) < 0.5, upper * (1.0 + 1e-6), lower * (1.0 - 1e-6)
+        )
+        want = [
+            exact_dominates(
+                Hypersphere(ca[i], float(ra[i])),
+                Hypersphere(cb[i], float(rb[i])),
+                Hypersphere(cq[i], float(rq[i])),
+            )
+            for i in range(16)
+        ]
+        assert batch_hyperbola(ca, cb, cq, ra, rb, rq).tolist() == want

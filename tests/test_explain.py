@@ -155,6 +155,22 @@ class TestKnnExplain:
         assert "duration_s" in payload
 
 
+def assert_hyperbola_rows_add_up(hyperbola):
+    """Every kernel row ends on exactly one path; the bracket and the
+    quartic both did work."""
+    assert hyperbola["bounded"] > 0
+    assert hyperbola["quartic"] > 0
+    paths = (
+        "fast_path_overlap",
+        "fast_path_center_outside",
+        "fast_path_point_query",
+        "bisector",
+        "bounded",
+        "quartic",
+    )
+    assert hyperbola["calls"] == sum(hyperbola.get(path, 0) for path in paths)
+
+
 class TestOtherKindsExplain:
     def test_rknn_explain(self, world):
         dataset, _, query = world
@@ -168,7 +184,7 @@ class TestOtherKindsExplain:
             == rnn_candidates(flat, query, explain=True).explain.signature()
         )
         # Batch-kernel rows fold into the Hyperbola breakdown.
-        assert explained.explain.hyperbola["quartic"] > 0
+        assert_hyperbola_rows_add_up(explained.explain.hyperbola)
 
     def test_dominating_explain(self, world):
         dataset, _, query = world
@@ -178,7 +194,7 @@ class TestOtherKindsExplain:
         assert [s.key for s in plain] == [s.key for s in explained]
         assert explained.explain.kind == "dominating"
         assert explained.explain.answer_size == 3
-        assert explained.explain.hyperbola["quartic"] > 0
+        assert_hyperbola_rows_add_up(explained.explain.hyperbola)
 
 
 class TestExplainCli:

@@ -16,6 +16,8 @@ import pytest
 from repro.core import get_criterion, min_margin
 from repro.core.batch import batch_evaluate
 from repro.geometry.hypersphere import Hypersphere
+from repro.robust import DEFAULT_LADDER, Verdict, decide
+from repro.robust.exact import exact_dominates
 
 HYPERBOLA = get_criterion("hyperbola")
 
@@ -33,14 +35,35 @@ def assert_decisive_agreement(sa, sb, sq):
 class TestScaleExtremes:
     @pytest.mark.parametrize("scale", (1e-8, 1e-3, 1.0, 1e3, 1e8))
     def test_uniform_rescaling_preserves_the_verdict(self, scale):
-        """Dominance is scale-invariant; the decision must be too."""
-        base = (
-            Hypersphere([0.0, 0.0], 1.0),
-            Hypersphere([10.0, 0.0], 1.0),
-            Hypersphere([-3.0, 1.0], 1.5),
+        """Dominance is scale-invariant; every float decision must be too.
+
+        The second base configuration puts the query near ``Ra``'s
+        boundary, where a quartic solved in the scene's own units lost
+        its nearest root on small scenes and claimed a false dominance.
+        """
+        bases = (
+            (
+                Hypersphere([0.0, 0.0], 1.0),
+                Hypersphere([10.0, 0.0], 1.0),
+                Hypersphere([-3.0, 1.0], 1.5),
+            ),
+            (
+                Hypersphere([-1.0, 0.0], 0.105),
+                Hypersphere([1.0, 0.0], 0.105),
+                Hypersphere([-0.482, 2.311], 0.3),
+            ),
         )
-        scaled = tuple(s.scaled(scale) for s in base)
-        assert HYPERBOLA.dominates(*scaled) == HYPERBOLA.dominates(*base)
+        for base in bases:
+            scaled = tuple(s.scaled(scale) for s in base)
+            want = exact_dominates(*scaled)
+            for name in ("hyperbola", "cascade", "verified"):
+                assert get_criterion(name).dominates(*scaled) == want, name
+            wrong = Verdict.FALSE if want else Verdict.TRUE
+            for stage in DEFAULT_LADDER:  # no rung certifies the wrong verdict
+                assert decide(*scaled, ladder=(stage,)).verdict is not wrong, stage[0]
+            rows = [np.array([s.center]) for s in scaled]
+            radii = [np.array([s.radius]) for s in scaled]
+            assert batch_evaluate("hyperbola", *rows, *radii)[0] == want
 
     @pytest.mark.parametrize("scale", (1e-6, 1e6))
     def test_random_configurations_at_extreme_scales(self, scale, rng):
