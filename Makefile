@@ -25,13 +25,16 @@ lint:
 # kNN against knn_reference, and RkNN and top-k dominating against
 # oracles that ask the scalar criterion about every pair; the batch
 # suite checks the vectorised kernels against the scalar criteria and
-# the Hyperbola kernel's dmin bracket against its all-rows quartic.
+# the Hyperbola kernel's dmin bracket against its all-rows quartic.  The
+# packed-leaves suite mutates and snapshots trees between kNN queries,
+# so stale leaf arrays or a stale leaf directory would show.
 fuzz:
 	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest -q \
 		tests/test_boundary_fuzz.py tests/test_faults.py \
 		tests/test_robust_exact.py tests/test_robust_decision.py \
 		tests/test_criteria_properties.py tests/test_batch.py \
-		tests/test_knn_properties.py tests/test_flat_properties.py
+		tests/test_knn_properties.py tests/test_flat_properties.py \
+		tests/test_packed_leaves.py
 
 # The resilience gate (docs/resilience.md): the chaos matrix (every
 # fault seam x mode), budget/degradation behaviour, snapshot integrity,

@@ -1,20 +1,22 @@
 """Unbudgeted-execution overhead guard for the kNN search.
 
 The resilience layer threads a ``budget`` through the two-phase kNN
-search (:func:`repro.queries.knn._search_tree` and its phase-2 band
-rule from :func:`repro.queries.knn._band_filter`) and guards every
-charge — per node, and one per leaf before its sweep — with a single
-``budget is not None`` check, plus one contextvar read per query in
-:func:`~repro.queries.knn.knn_query`.  With no budget active that must
-cost within 5% of a replica search with the budget plumbing deleted.
+search (:func:`repro.queries.knn._search_tree` over a tree's leaf
+directory, and its phase-2 band rule from
+:func:`repro.queries.knn._band_filter`) and guards every charge — one
+node charge and one candidate charge per leaf before each phase uses
+it — with a single ``budget is not None`` check, plus one contextvar
+read per query in :func:`~repro.queries.knn.knn_query`.  With no
+budget active that must cost within 5% of a replica search with the
+budget plumbing deleted.
 
 The replica below re-states both phases and the band rule minus the
-budget checks, sharing every other helper (the fault-absorbing node
-bounds and their rounding slack, the packed-leaf sweep, the top-k
-offer, the anchor selection, the masked phase-2 collection, the guarded
-dominance check), so the two
-differ *only* by the ``if budget is not None`` guards — the same
-discipline as the instrumentation guard in ``test_obs_overhead.py``.
+budget checks, sharing every other helper (the fault-absorbing
+directory bounds and their rounding slack, the visit tally, the
+packed-leaf sweep, the top-k offer, the anchor selection, the masked
+phase-2 collection, the guarded dominance check), so the two differ
+*only* by the ``if budget is not None`` guards — the same discipline
+as the instrumentation guard in ``test_obs_overhead.py``.
 
 Interleaved best-of-N timing keeps the comparison robust against CPU
 frequency drift: each round times both variants back to back and only
@@ -23,11 +25,10 @@ the fastest round of each survives.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import time
 
+import numpy as np
 from conftest import make_synthetic
 
 from repro import obs
@@ -38,10 +39,11 @@ from repro.queries.knn import (
     KNNResult,
     _any_anchor_dominates,
     _beyond,
+    _bound_leaves,
     _collect,
+    _count_visit,
     _kth,
     _offer,
-    _safe,
     _sweep,
 )
 from repro.queries.validation import validate_k, validate_query
@@ -68,42 +70,26 @@ def _band_filter_unbudgeted(query, criterion, result, anchors):
 
 
 def _search_tree_unbudgeted(
-    root, query, k, criterion, result, levels, shadowed, memtable
+    directory, query, k, criterion, result, levels, shadowed, memtable
 ):
     """``knn._search_tree`` with the budget guards deleted."""
+    leaves, depths = directory.leaves, directory.depths
+    min_lower, max_lower = _bound_leaves(directory, query, result)
+    _count_visit(result, levels, 0)
+    swept = {}
+
     top = []
     near = []
-    swept = {}
     if memtable is not None:
         _offer(top, near, k, memtable[0], memtable[1], frozenset())
-    tiebreak = itertools.count()
-    heap = [
-        (
-            _safe(type(root).max_dist_lower_bound, root, query, 0.0, result),
-            next(tiebreak),
-            root,
-            0,
-        )
-    ]
-    while heap:
-        bound, _, node, depth = heapq.heappop(heap)
-        if len(top) == k and _beyond(bound, -top[0]):
+    lower = max_lower.tolist()
+    for i in np.argsort(max_lower, kind="stable").tolist():
+        if len(top) == k and _beyond(lower[i], -top[0]):
             break
-        result.nodes_visited += 1
-        if levels is not None:
-            levels[depth] = levels.get(depth, 0) + 1
-        if node.is_leaf:
-            bounds = swept[node] = _sweep(node.centers, node.radii, query, result)
-            _offer(top, near, k, node.entries, bounds[0], shadowed)
-        else:
-            for child in node.children:
-                child_bound = _safe(
-                    type(child).max_dist_lower_bound, child, query, 0.0, result
-                )
-                if len(top) < k or not _beyond(child_bound, -top[0]):
-                    heapq.heappush(
-                        heap, (child_bound, next(tiebreak), child, depth + 1)
-                    )
+        leaf = leaves[i]
+        _count_visit(result, levels, depths[i])
+        swept[i] = _sweep(leaf.centers, leaf.radii, query, result)
+        _offer(top, near, k, leaf.entries, swept[i][0], shadowed)
     distk, anchors = _kth(top, near, k, False)
     result.distk = distk
 
@@ -111,31 +97,24 @@ def _search_tree_unbudgeted(
     if memtable is not None:
         _collect(*memtable, distk, kept, result)
         result.entries_considered += len(memtable[0])
+    pruned = _beyond(min_lower, distk)
+    result.pruned_case3 += int(np.count_nonzero(pruned))
     hits = 0
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if _beyond(_safe(type(node).min_dist, node, query, 0.0, result), distk):
-            result.pruned_case3 += 1
-            continue
-        result.nodes_visited += 1
-        if levels is not None:
-            levels[depth] = levels.get(depth, 0) + 1
-        if node.is_leaf:
-            entries = node.entries
-            result.entries_considered += len(entries)
-            bounds = swept.pop(node, None)
-            if bounds is None:
-                bounds = _sweep(node.centers, node.radii, query, result)
-            dead = (
-                [i for i, (key, _) in enumerate(entries) if key in shadowed]
-                if shadowed
-                else []
-            )
-            hits += len(dead)
-            _collect(entries, *bounds, distk, kept, result, dead)
-        else:
-            stack.extend((child, depth + 1) for child in node.children)
+    for i in np.flatnonzero(~pruned).tolist():
+        leaf = leaves[i]
+        entries = leaf.entries
+        result.entries_considered += len(entries)
+        bounds = swept.get(i)
+        if bounds is None:
+            _count_visit(result, levels, depths[i])
+            bounds = _sweep(leaf.centers, leaf.radii, query, result)
+        dead = (
+            [j for j, (key, _) in enumerate(entries) if key in shadowed]
+            if shadowed
+            else []
+        )
+        hits += len(dead)
+        _collect(entries, *bounds, distk, kept, result, dead)
     return hits
 
 
@@ -150,7 +129,8 @@ def _baseline_query(tree, query, k, criterion) -> KNNResult:
     result = KNNResult(keys=[], spheres=[], distk=math.inf)
     uncertain_before = knn_mod._uncertain_count(criterion)
     _search_tree_unbudgeted(
-        tree.root, query, k, criterion, result, None, frozenset(), None
+        tree.leaf_directory(), query, k, criterion, result, None,
+        frozenset(), None,
     )
     result.uncertain_decisions = (
         knn_mod._uncertain_count(criterion) - uncertain_before

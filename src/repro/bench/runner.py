@@ -140,9 +140,11 @@ def _latency_summary(samples: "list[float]") -> "dict[str, float]":
 
 
 def _point_dataset(params: "dict[str, Any]", seed: int) -> Any:
+    """The point's synthetic dataset; ``mu`` (mean radius) defaults to 10."""
     return synthetic_dataset(
         int(params["n"]),
         int(params["d"]),
+        mu=float(params.get("mu", 10.0)),
         radius_distribution=str(params.get("radius", "gaussian")),
         seed=seed,
     )

@@ -46,6 +46,9 @@ _SWEEPS: "dict[str, dict[str, list[dict[str, object]]]]" = {
         ],
     },
     # Definition-2 kNN over the SS-tree: the paper's primary workload.
+    # Radii default to mu=10 (Section 7.1); at n=600 such spheres
+    # overlap too much for MinDist to prune, so the mu=0.5 point at
+    # n=20,000 is the one whose entries considered show pruning.
     "knn": {
         "quick": [
             _point(n=600, d=3, radius="gaussian", k=10, queries=15,
@@ -56,6 +59,8 @@ _SWEEPS: "dict[str, dict[str, list[dict[str, object]]]]" = {
                    criterion="hyperbola"),
             _point(n=600, d=3, radius="uniform", k=10, queries=15,
                    criterion="hyperbola"),
+            _point(n=20000, d=3, radius="gaussian", mu=0.5, k=10,
+                   queries=20, criterion="hyperbola"),
         ],
         "full": [
             _point(n=600, d=3, radius="gaussian", k=10, queries=15,
@@ -66,6 +71,8 @@ _SWEEPS: "dict[str, dict[str, list[dict[str, object]]]]" = {
                    criterion="hyperbola"),
             _point(n=600, d=3, radius="uniform", k=10, queries=15,
                    criterion="hyperbola"),
+            _point(n=20000, d=3, radius="gaussian", mu=0.5, k=10,
+                   queries=20, criterion="hyperbola"),
             _point(n=2500, d=3, radius="gaussian", k=10, queries=25,
                    criterion="hyperbola"),
             _point(n=2500, d=3, radius="gaussian", k=50, queries=25,

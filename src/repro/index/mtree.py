@@ -32,7 +32,7 @@ import numpy as np
 from repro.exceptions import IndexStructureError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.instrumentation import IndexStatsMixin
-from repro.index.packed import check_packed, pack
+from repro.index.packed import LeafDirectoryMixin, check_packed, pack
 
 __all__ = ["MTree", "MTreeNode"]
 
@@ -100,7 +100,7 @@ class MTreeNode:
             )
 
 
-class MTree(IndexStatsMixin):
+class MTree(IndexStatsMixin, LeafDirectoryMixin):
     """A dynamically built M-tree over keyed hyperspheres.
 
     Examples
@@ -148,6 +148,7 @@ class MTree(IndexStatsMixin):
                 f"sphere dimension {sphere.dimension} != tree dimension "
                 f"{self.dimension}"
             )
+        self._drop_directory()
         if self.root.routing is None:
             self.root.routing = sphere.center.copy()
         split = self._insert_into(self.root, key, sphere)

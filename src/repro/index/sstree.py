@@ -22,9 +22,14 @@ Additions beyond the original (needed by this reproduction):
 
 - entries are ``(key, Hypersphere)`` pairs so query answers can be
   matched against ground truth;
-- :meth:`SSTree.bulk_load` packs a dataset bottom-up (sort-tile
-  recursive on the longest-variance dimension) for fast experiment
-  setup;
+- :meth:`SSTree.bulk_load` packs a dataset bottom-up for fast
+  experiment setup: each level is tiled by recursive halving on the
+  highest-variance axis (a k-d style cousin of STR, Leutenegger et al.,
+  ICDE 1997), so every node is compact in every axis;
+- kNN reads the tree through its leaf directory
+  (:class:`~repro.index.packed.LeafDirectory`): every leaf's covering
+  sphere packed in one array, built on first use and dropped by
+  :meth:`SSTree.insert` and :meth:`SSTree.remove`;
 - :meth:`SSTree.validate` checks the covering invariants, used by the
   property-based tests.
 """
@@ -39,7 +44,7 @@ import numpy as np
 from repro.exceptions import IndexStructureError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.instrumentation import IndexStatsMixin
-from repro.index.packed import check_packed, pack
+from repro.index.packed import LeafDirectoryMixin, check_packed, pack
 
 __all__ = ["SSTree", "SSTreeNode"]
 
@@ -116,10 +121,8 @@ class SSTreeNode:
                 return
             self.count = len(self.entries)
             self.centroid = self.centers.mean(axis=0)
-            self.radius = max(
-                float(np.linalg.norm(sphere.center - self.centroid)) + sphere.radius
-                for _, sphere in self.entries
-            )
+            reach = np.linalg.norm(self.centers - self.centroid, axis=1) + self.radii
+            self.radius = float(reach.max())
         else:
             if not self.children:
                 self.count = 0
@@ -142,7 +145,7 @@ class SSTreeNode:
         return np.stack([child.centroid for child in self.children])
 
 
-class SSTree(IndexStatsMixin):
+class SSTree(IndexStatsMixin, LeafDirectoryMixin):
     """A dynamically grown (or bulk-loaded) SS-tree over keyed hyperspheres.
 
     Parameters
@@ -183,6 +186,7 @@ class SSTree(IndexStatsMixin):
                 f"sphere dimension {sphere.dimension} != tree dimension "
                 f"{self.dimension}"
             )
+        self._drop_directory()
         split = self._insert_into(self.root, key, sphere)
         if split is not None:
             old_root = self.root
@@ -261,6 +265,7 @@ class SSTree(IndexStatsMixin):
                 f"sphere dimension {sphere.dimension} != tree dimension "
                 f"{self.dimension}"
             )
+        self._drop_directory()
         orphans: list[tuple[object, Hypersphere]] = []
         removed = self._remove_from(self.root, key, sphere, orphans, is_root=True)
         if not removed:
@@ -328,10 +333,17 @@ class SSTree(IndexStatsMixin):
     ) -> "SSTree":
         """Pack a whole dataset bottom-up.
 
-        Recursively sorts on the highest-variance coordinate and slices
-        into equal chunks of at most *max_entries*, producing a balanced
-        tree in O(n log n) — used by the experiment harness where the
-        paper builds its index once per dataset.
+        Each level tiles its members — the entries, then each level's
+        nodes by centroid — into ``ceil(m / max_entries)`` groups whose
+        sizes differ by at most one (:func:`_tile`).  The tiling halves
+        recursively: the members are cut on their highest-variance
+        coordinate into the rows of the first half of the groups and
+        those of the second, and each part is cut again the same way.
+        Every node is therefore compact in all coordinates, not a slab
+        of one, which is what lets kNN prune subtrees by MinDist.  The
+        result is a balanced tree, built in O(n log n) — used by the
+        experiment harness where the paper builds its index once per
+        dataset.
         """
         items = list(items)
         if not items:
@@ -477,14 +489,34 @@ class SSTree(IndexStatsMixin):
 def _tile(
     members: Sequence, capacity: int, *, key_positions: np.ndarray
 ) -> list[list]:
-    """Group *members* into chunks of <= *capacity* along the widest axis."""
-    axis = int(np.argmax(key_positions.var(axis=0)))
-    order = np.argsort(key_positions[:, axis], kind="stable")
-    ordered = [members[i] for i in order]
-    n_groups = math.ceil(len(ordered) / capacity)
-    # array_split balances group sizes (they differ by at most one), so no
-    # group ends up pathologically underfull.
+    """Group *members* into ``ceil(m / capacity)`` spatially compact chunks.
+
+    Group sizes differ by at most one, so no group ends up underfull.
+    The members are split recursively: each step cuts a run of rows on
+    its widest (highest variance) axis into the members of the first
+    half of its groups and those of the second, until every run is one
+    group — a k-d style partition, so each group is compact in every
+    axis rather than a slab of one.
+    """
+    count = len(members)
+    n_groups = math.ceil(count / capacity)
+    # Group g takes rows offsets[g]:offsets[g + 1] of the final order.
+    offsets = [g * count // n_groups for g in range(n_groups + 1)]
+    order = np.arange(count)
+    pending = [(0, n_groups)]
+    while pending:
+        first, stop = pending.pop()
+        if stop - first == 1:
+            continue
+        middle = (first + stop) // 2
+        lo, cut, hi = offsets[first], offsets[middle], offsets[stop]
+        rows = order[lo:hi]
+        positions = key_positions[rows]
+        axis = int(np.argmax(positions.var(axis=0)))
+        order[lo:hi] = rows[np.argpartition(positions[:, axis], cut - lo)]
+        pending += [(first, middle), (middle, stop)]
+    ranked = order.tolist()
     return [
-        [ordered[i] for i in chunk]
-        for chunk in np.array_split(np.arange(len(ordered)), n_groups)
+        [members[i] for i in ranked[offsets[g] : offsets[g + 1]]]
+        for g in range(n_groups)
     ]

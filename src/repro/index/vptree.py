@@ -29,7 +29,7 @@ import numpy as np
 from repro.exceptions import IndexStructureError
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.instrumentation import IndexStatsMixin
-from repro.index.packed import check_packed, pack
+from repro.index.packed import LeafDirectoryMixin, check_packed, pack
 
 __all__ = ["VPTree", "VPTreeNode"]
 
@@ -73,7 +73,7 @@ class VPTreeNode:
         return self._center_gap_band(query) + query.radius
 
 
-class VPTree(IndexStatsMixin):
+class VPTree(IndexStatsMixin, LeafDirectoryMixin):
     """A bucketed vantage-point tree over keyed hyperspheres.
 
     Built in one shot from the full dataset (the classic VP-tree is a

@@ -3,10 +3,12 @@
 Section 6 of the paper adapts the classical tree-based kNN algorithms
 (depth-first, Roussopoulos et al.; best-first, Hjaltason & Samet) to
 hyperspheres by maintaining a *best-known list* pruned with the
-dominance operator.  :mod:`repro.queries.knn` implements that adapted
-algorithm with a pluggable dominance criterion;
-:func:`repro.queries.knn.knn_reference` computes the exact answer of
-Definition 2 for precision measurements.
+dominance operator; that list is reproduced for the paper's figures in
+:mod:`repro.experiments.incremental`.  :mod:`repro.queries.knn` answers
+Definition 2 exactly, with a pluggable dominance criterion, in two
+phases over a tree's leaf directory;
+:func:`repro.queries.knn.knn_reference` computes the same answer by
+direct evaluation, as ground truth.
 
 Extensions (applications the paper names but does not evaluate):
 

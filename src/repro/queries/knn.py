@@ -6,17 +6,23 @@ the answer is every object of ``D`` **not dominated by** ``Sk`` with
 respect to ``Sq``.  (``Sk`` itself is always an answer, since nothing
 dominates itself.)
 
-:func:`knn_query` answers it exactly, in two phases:
+:func:`knn_query` answers it exactly, in two phases over a tree's leaf
+directory (:class:`~repro.index.packed.LeafDirectory`: every leaf's
+covering sphere, packed in one array).  One vectorised call bounds
+every leaf's ``MinDist`` and ``MaxDist`` from below, so a query reads
+no inner node:
 
-1. **Find Sk.**  ``distk``, the k-th smallest ``MaxDist``, comes from a
-   best-first search on each node's ``MaxDist`` lower bound — exact
+1. **Find Sk.**  ``distk``, the k-th smallest ``MaxDist``, comes from
+   sweeping leaves in order of their ``MaxDist`` lower bound until the
+   next bound clears the k-th ``MaxDist`` found so far — exact
    whatever the dominance criterion.  The objects attaining it are the
    anchors ``Sk``.
-2. **Collect.**  A depth-first walk keeps every object no anchor
-   dominates.  A subtree or object whose ``MinDist`` exceeds ``distk``
-   is dominated by MinMax (Lemma 9), which is correct, so it is pruned
-   without asking the criterion; every other object with
-   ``MaxDist > distk`` goes to the criterion.
+2. **Collect.**  Every leaf whose ``MinDist`` bound does not clear
+   ``distk`` is collected, keeping every object no anchor dominates.  A
+   leaf or object whose ``MinDist`` exceeds ``distk`` is dominated by
+   MinMax (Lemma 9), which is correct, so it is pruned without asking
+   the criterion; every other object with ``MaxDist > distk`` goes to
+   the criterion.
 
 With Hyperbola the answer equals :func:`knn_reference`; with a
 correct-but-unsound criterion it is a superset.  A flat
@@ -26,16 +32,17 @@ one vectorised sweep.  The paper's own single-pass best-known list
 of Definition 2; it is reproduced for the paper's figures in
 :mod:`repro.experiments.incremental`.
 
-Both phases bound the entries of a tree leaf in one vectorised sweep
-over its packed ``centers``/``radii`` arrays
-(:mod:`repro.index.packed`), computed as a flat scan computes them, and
-sweep each leaf once per query: phase 2 reuses the bounds phase 1
-swept.  Phase 1 offers its top-k only the rows at or below the current
-k-th MaxDist; phase 2 settles Case 3 (``MinDist > distk``) and the rows
-with ``MaxDist <= distk`` by mask, so the criterion runs only on the
-band between the two.  Node bounds stay scalar node-method calls; they
-round differently from the row sweep, so a node is skipped or pruned
-only when its bound clears distk by more than a rounding hair.
+Both phases bound the entries of a leaf in one vectorised sweep over
+its packed ``centers``/``radii`` arrays (:mod:`repro.index.packed`),
+computed as a flat scan computes them, and sweep each leaf once per
+query: phase 2 reuses the bounds phase 1 swept.  Phase 1 offers its
+top-k only the rows at or below the current k-th MaxDist; phase 2
+settles Case 3 (``MinDist > distk``) and the rows with ``MaxDist <=
+distk`` by mask, so the criterion runs only on the band between the
+two.  Leaf bounds round differently from the row sweep, so a leaf is
+skipped or pruned only when its bound clears distk by more than a
+rounding hair.  EXPLAIN counts the directory sweep as one node access
+at level 0 and each swept leaf as one at its depth.
 
 A streaming :class:`~repro.stream.overlay.DeltaOverlay` merges inside
 the scan, by one rule for tree and flat bases: memtable rows join
@@ -49,22 +56,23 @@ Resilience (``repro.resilience``)
 Two orthogonal defences make the query path production-safe:
 
 **Fault absorption (always on).**  Every value that decides a *prune*
-— node distance bounds, per-sphere MinDist/MaxDist, the dominance
+— leaf distance bounds, per-sphere MinDist/MaxDist, the dominance
 criterion itself — is guarded: a raising kernel or a non-finite bound
 collapses to the no-prune direction (bound 0, MaxDist ``inf``, or a
 MinMax fallback decision) and is tallied on
-:attr:`KNNResult.absorbed_faults`.  A leaf sweep absorbs a row whose
-MaxDist is non-finite the same way (MaxDist ``inf``, MinDist 0), once
-per row per query.  A corrupted value can therefore widen the answer,
-never silently narrow it.
+:attr:`KNNResult.absorbed_faults`.  The directory sweep absorbs a leaf
+whose bound is non-finite (bound 0: never skipped or pruned), and a
+leaf sweep a row whose MaxDist is non-finite (MaxDist ``inf``, MinDist
+0), once per leaf or row per query.  A corrupted value can therefore
+widen the answer, never silently narrow it.
 
 **Budgets (opt-in).**  When a :class:`repro.resilience.Budget` is
 active (:func:`repro.resilience.scope`), the search charges it per
-node, per memtable row, and per leaf: one ``charge_candidate(m)`` for
-a leaf's ``m`` entries before each phase uses them, so a cut skips the
-whole leaf.  On exhaustion the traversal stops, the criterion
-filter is skipped for what is still collected (a conservative
-superset), and the query returns a
+memtable row and per leaf: one ``charge_node()`` and one
+``charge_candidate(m)`` for a leaf's ``m`` entries before each phase
+uses them, so a cut skips the whole leaf.  On exhaustion the traversal
+stops, the criterion filter is skipped for what is still collected (a
+conservative superset), and the query returns a
 :class:`repro.resilience.PartialResult` wrapping the
 :class:`KNNResult` together with a
 :class:`repro.resilience.ResilienceReport` (completeness, achieved
@@ -76,11 +84,10 @@ behaviour are unchanged.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -92,8 +99,8 @@ from repro.exceptions import ValidationError
 from repro.geometry import distance as _distance
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
-from repro.index.packed import pack
-from repro.index.sstree import SSTree, SSTreeNode
+from repro.index.packed import LeafDirectory, pack
+from repro.index.sstree import SSTree
 from repro.index.vptree import VPTree
 from repro.queries.explain import ExplainedResult, explain_capture
 from repro.queries.validation import validate_k, validate_query
@@ -110,9 +117,13 @@ __all__ = ["KNNResult", "knn_query", "knn_reference"]
 #: flat scan): their ``(key, sphere)`` entries, MaxDist and MinDist.
 _Block = tuple[Sequence[tuple[object, Hypersphere]], np.ndarray, np.ndarray]
 
-#: Relative slack by which a node bound must exceed distk to prune
+#: Relative slack by which a leaf bound must exceed distk to prune
 #: (see :func:`_beyond`).
 _NODE_SLACK = 1e-9
+
+#: A bound compared by :func:`_beyond`: one leaf's, or an array of them
+#: (the comparison then answers per leaf).
+_Bound = TypeVar("_Bound", float, np.ndarray)
 
 
 def _record_traversal(index: object, result: "KNNResult") -> None:
@@ -169,9 +180,12 @@ class KNNResult:
     keys: list
     spheres: list[Hypersphere]
     distk: float
+    #: Node accesses: a tree query's directory sweep plus each leaf it
+    #: swept (0 for a flat scan, which the index stats count as one).
     nodes_visited: int = 0
     entries_considered: int = 0
     dominance_checks: int = 0
+    #: Objects and whole leaves pruned by MinMax (Case 3, Lemma 9).
     pruned_case3: int = 0
     #: Dominance checks a certified criterion (e.g. ``"verified"``)
     #: answered UNCERTAIN during this query, falling back to its
@@ -209,29 +223,6 @@ class KNNResult:
             "absorbed_faults": self.absorbed_faults,
             "degraded_checks": self.degraded_checks,
         }
-
-
-def _safe(
-    bound: "Callable[[Any, Hypersphere], float]",
-    item: object,
-    query: Hypersphere,
-    fallback: float,
-    result: KNNResult,
-) -> float:
-    """``bound(item, query)``, fault-absorbing.
-
-    A raising kernel or a non-finite value maps to *fallback* — the
-    no-prune direction (0 for a MinDist-like bound, ``inf`` for a
-    MaxDist) — and is tallied, so corruption can only widen an answer.
-    """
-    try:
-        value = float(bound(item, query))
-    except ArithmeticError:
-        value = math.nan
-    if math.isfinite(value):
-        return value
-    result.absorbed_faults += 1
-    return fallback
 
 
 def _wrap_partial(result: KNNResult, budget: Budget) -> PartialResult:
@@ -272,9 +263,8 @@ def knn_query(
         :class:`~repro.index.vptree.VPTree` or
         :class:`~repro.index.mtree.MTree` (searched with pruning), or a
         :class:`~repro.index.linear.LinearIndex` (one vectorised sweep).
-        Any tree whose nodes expose ``is_leaf`` / ``entries`` (packed
-        as ``centers`` / ``radii``) / ``children`` / ``min_dist`` /
-        ``max_dist_lower_bound`` works.
+        Any tree with a ``leaf_directory()``
+        (:class:`~repro.index.packed.LeafDirectoryMixin`) works.
     query:
         The query hypersphere ``Sq``.
     k:
@@ -369,8 +359,8 @@ def _run_knn(
         )
     else:
         hits = _search_tree(
-            index.root, query, k, criterion, result, budget, levels,
-            shadowed, memtable, cut,
+            index.leaf_directory(), query, k, criterion, result, budget,
+            levels, shadowed, memtable, cut,
         )
     result.uncertain_decisions = _uncertain_count(criterion) - uncertain_before
     if overlay is not None and obs.ENABLED:
@@ -392,11 +382,10 @@ def _sweep(
     :meth:`~repro.index.linear.LinearIndex.max_dists` and
     :meth:`~repro.index.linear.LinearIndex.min_dists` compute them; a
     row with a non-finite MaxDist is absorbed (MaxDist ``inf``, MinDist
-    0: never pruned) and tallied, as :func:`_safe` absorbs a bound, and
-    a raising distance kernel absorbs every row of the sweep.
+    0: never pruned) and tallied, as :func:`_bound_leaves` absorbs a
+    leaf bound, and a raising distance kernel absorbs every row of the
+    sweep.
     """
-    if not radii.size:  # a tree's empty root leaf
-        return np.empty(0), np.empty(0)
     try:
         # Resolved at call time: the "distance" fault seam.
         gaps = _distance.dists(centers, query.center)
@@ -411,12 +400,13 @@ def _sweep(
     return dist_max, dist_min
 
 
-def _beyond(bound: float, distk: float) -> bool:
-    """Whether a node bound clears *distk* by more than rounding.
+def _beyond(bound: "_Bound", distk: float) -> "_Bound":
+    """Whether a leaf bound (or each of an array of them) clears *distk*
+    by more than rounding.
 
-    A node bound and the row bounds below it round differently, so a
-    node whose bound lies within a hair of distk may still hold a row
-    attaining it; only a bound past that hair skips or prunes the node.
+    A leaf bound and the row bounds below it round differently, so a
+    leaf whose bound lies within a hair of distk may still hold a row
+    attaining it; only a bound past that hair skips or prunes the leaf.
     """
     return bound > distk + _NODE_SLACK * (1.0 + distk)
 
@@ -529,8 +519,40 @@ def _collect(
             result.spheres.append(sphere)
 
 
+def _bound_leaves(
+    directory: LeafDirectory, query: Hypersphere, result: KNNResult
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Every leaf's MinDist and MaxDist lower bounds, fault-absorbing.
+
+    One :meth:`~repro.index.packed.LeafDirectory.bounds` call bounds the
+    whole directory.  A raising call, or a non-finite bound, leaves that
+    leaf at bound 0 — never skipped, never pruned — and is tallied once
+    per leaf, so corruption can only widen the search.
+    """
+    try:
+        # Resolved at call time: the "index" fault seam.
+        min_lower, max_lower = directory.bounds(query)
+    except ArithmeticError:
+        min_lower = max_lower = np.full(len(directory), math.nan)
+    corrupt = ~(np.isfinite(min_lower) & np.isfinite(max_lower))
+    if corrupt.any():
+        result.absorbed_faults += int(corrupt.sum())
+        min_lower = np.where(corrupt, 0.0, min_lower)
+        max_lower = np.where(corrupt, 0.0, max_lower)
+    return min_lower, max_lower
+
+
+def _count_visit(
+    result: KNNResult, levels: "dict[int, int] | None", depth: int
+) -> None:
+    """Tally one node access (EXPLAIN: at *depth*)."""
+    result.nodes_visited += 1
+    if levels is not None:
+        levels[depth] = levels.get(depth, 0) + 1
+
+
 def _search_tree(
-    root: SSTreeNode,
+    directory: LeafDirectory,
     query: Hypersphere,
     k: int,
     criterion: DominanceCriterion,
@@ -541,96 +563,78 @@ def _search_tree(
     memtable: "_Block | None",
     cut: bool,
 ) -> int:
-    """Both phases over a tree; returns the shadowed base rows skipped.
+    """Both phases over a tree's leaf directory; returns shadowed rows skipped.
 
-    Each leaf is swept at most once: phase 2 reuses the bounds of the
-    leaves phase 1 swept.
+    One call bounds every leaf, counted as one node access at level 0.
+    Each leaf is swept at most once, counted as one access at its depth:
+    phase 2 reuses the bounds of the leaves phase 1 swept.
     """
-    # Phase 1: the k-th smallest MaxDist via best-first search on the
-    # MaxDist lower bound (exact regardless of the dominance criterion).
+    leaves, depths = directory.leaves, directory.depths
+    min_lower, max_lower = _bound_leaves(directory, query, result)
+    _count_visit(result, levels, 0)
+    swept: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
+
+    # Phase 1: the k-th smallest MaxDist, sweeping leaves in order of
+    # their MaxDist lower bound (exact regardless of the dominance
+    # criterion) until the next bound clears the k-th MaxDist.
     top: "list[float]" = []
     near: "list[tuple[float, Hypersphere]]" = []
-    swept: "dict[SSTreeNode, tuple[np.ndarray, np.ndarray]]" = {}
     if memtable is not None:
         _offer(top, near, k, memtable[0], memtable[1], frozenset())
-    tiebreak = itertools.count()
-    heap = [
-        (
-            _safe(type(root).max_dist_lower_bound, root, query, 0.0, result),
-            next(tiebreak),
-            root,
-            0,
-        )
-    ]
-    while heap and not cut:
-        bound, _, node, depth = heapq.heappop(heap)
-        if len(top) == k and _beyond(bound, -top[0]):
+    lower = max_lower.tolist()
+    order: "list[int]" = (
+        [] if cut else np.argsort(max_lower, kind="stable").tolist()
+    )
+    for i in order:
+        if len(top) == k and _beyond(lower[i], -top[0]):
             break
         if budget is not None and budget.charge_node() is not None:
             cut = True
             break
-        result.nodes_visited += 1
-        if levels is not None:
-            levels[depth] = levels.get(depth, 0) + 1
-        if node.is_leaf:
-            if (
-                budget is not None
-                and budget.charge_candidate(len(node.entries)) is not None
-            ):
-                cut = True
-                break
-            bounds = swept[node] = _sweep(node.centers, node.radii, query, result)
-            _offer(top, near, k, node.entries, bounds[0], shadowed)
-        else:
-            for child in node.children:
-                child_bound = _safe(
-                    type(child).max_dist_lower_bound, child, query, 0.0, result
-                )
-                if len(top) < k or not _beyond(child_bound, -top[0]):
-                    heapq.heappush(
-                        heap, (child_bound, next(tiebreak), child, depth + 1)
-                    )
+        leaf = leaves[i]
+        if (
+            budget is not None
+            and budget.charge_candidate(len(leaf.entries)) is not None
+        ):
+            cut = True
+            break
+        _count_visit(result, levels, depths[i])
+        swept[i] = _sweep(leaf.centers, leaf.radii, query, result)
+        _offer(top, near, k, leaf.entries, swept[i][0], shadowed)
     distk, anchors = _kth(top, near, k, cut)
     result.distk = distk
 
-    # Phase 2: collect every object not dominated by Sk.  A subtree with
+    # Phase 2: collect every object not dominated by Sk.  A leaf with
     # MinDist > distk is entirely dominated via MinMax (Lemma 9).
     kept = _band_filter(query, criterion, result, budget, anchors)
     if memtable is not None:
         _collect(*memtable, distk, kept, result)
         result.entries_considered += len(memtable[0])
+    pruned = _beyond(min_lower, distk)
+    result.pruned_case3 += int(np.count_nonzero(pruned))
     hits = 0
-    stack: "list[tuple[SSTreeNode, int]]" = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for i in np.flatnonzero(~pruned).tolist():
         if budget is not None and budget.charge_node() is not None:
             break
-        if _beyond(_safe(type(node).min_dist, node, query, 0.0, result), distk):
-            result.pruned_case3 += 1
-            continue
-        result.nodes_visited += 1
-        if levels is not None:
-            levels[depth] = levels.get(depth, 0) + 1
-        if node.is_leaf:
-            entries = node.entries
-            if (
-                budget is not None
-                and budget.charge_candidate(len(entries)) is not None
-            ):
-                break
-            result.entries_considered += len(entries)
-            bounds = swept.pop(node, None)
-            if bounds is None:
-                bounds = _sweep(node.centers, node.radii, query, result)
-            dead = (
-                [i for i, (key, _) in enumerate(entries) if key in shadowed]
-                if shadowed
-                else []
-            )
-            hits += len(dead)
-            _collect(entries, *bounds, distk, kept, result, dead)
-        else:
-            stack.extend((child, depth + 1) for child in node.children)
+        leaf = leaves[i]
+        entries = leaf.entries
+        if (
+            budget is not None
+            and budget.charge_candidate(len(entries)) is not None
+        ):
+            break
+        result.entries_considered += len(entries)
+        bounds = swept.get(i)
+        if bounds is None:
+            _count_visit(result, levels, depths[i])
+            bounds = _sweep(leaf.centers, leaf.radii, query, result)
+        dead = (
+            [j for j, (key, _) in enumerate(entries) if key in shadowed]
+            if shadowed
+            else []
+        )
+        hits += len(dead)
+        _collect(entries, *bounds, distk, kept, result, dead)
     return hits
 
 

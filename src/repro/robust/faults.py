@@ -18,10 +18,13 @@ that claim testable by corrupting the kernels at their seams:
     :func:`~repro.geometry.distance.dists`, which bounds the rows of a
     kNN leaf, memtable or flat scan in one sweep (one call, one hit).
 ``"index"``
-    The node distance bounds (``min_dist`` and
-    ``max_dist_lower_bound``) of all three tree indexes — the values a
-    kNN traversal prunes on.  The query layer must absorb a corrupted
-    bound by refusing to prune, never by dropping a subtree.
+    :meth:`repro.index.packed.LeafDirectory.bounds`, which bounds every
+    leaf of a tree in one sweep — the values kNN skips and prunes
+    leaves on (one call, one hit) — and the node distance bounds
+    (``min_dist`` and ``max_dist_lower_bound``) of all three tree
+    indexes, which ``browse``, ``range_query`` and the paper's
+    incremental kNN prune on.  The query layer must absorb a corrupted
+    bound by refusing to prune, never by dropping a leaf or subtree.
 ``"snapshot"``
     The raw byte I/O of :mod:`repro.index.snapshot` (``_io_write`` /
     ``_io_read``) — what a flaky disk or a crash mid-write does.  The
@@ -123,6 +126,7 @@ from repro.obs import names
 from repro.exceptions import ReproError
 from repro.geometry import distance as _distance
 from repro.geometry import quartic as _quartic
+from repro.geometry.hypersphere import Hypersphere
 from repro.geometry.transform import FocalFrame
 
 __all__ = ["FaultInjected", "InjectedFault", "inject", "SEAMS", "MODES"]
@@ -182,6 +186,14 @@ class InjectedFault:
         if self.mode == "overflow":
             return math.inf
         return value * (1.0 + self.magnitude)
+
+    def corrupt_array(self, values: np.ndarray) -> np.ndarray:
+        """Every element of *values* corrupted as :meth:`corrupt_scalar` would."""
+        if self.mode == "nan":
+            return np.full_like(values, np.nan)
+        if self.mode == "overflow":
+            return np.full_like(values, np.inf)
+        return values * (1.0 + self.magnitude)
 
     def corrupt_pair(self, pair: "tuple[float, float]") -> "tuple[float, float]":
         return (self.corrupt_scalar(pair[0]), self.corrupt_scalar(pair[1]))
@@ -324,11 +336,7 @@ def _patch_distance(fault: InjectedFault) -> "Iterator[None]":
             return values
         if fault.mode == "raise":
             raise FaultInjected("injected fault in dists")
-        if fault.mode == "nan":
-            return np.full_like(values, np.nan)
-        if fault.mode == "overflow":
-            return np.full_like(values, np.inf)
-        return values * (1.0 + fault.magnitude)
+        return fault.corrupt_array(values)
 
     try:
         _distance.dist = corrupted_dist
@@ -344,6 +352,7 @@ def _patch_index(fault: InjectedFault) -> "Iterator[None]":
     # Imported here, not at module top: the seams are optional test
     # machinery and must not make repro.robust depend on the indexes.
     from repro.index.mtree import MTreeNode
+    from repro.index.packed import LeafDirectory
     from repro.index.sstree import SSTreeNode
     from repro.index.vptree import VPTreeNode
 
@@ -354,6 +363,7 @@ def _patch_index(fault: InjectedFault) -> "Iterator[None]":
         for cls in node_classes
         for name in method_names
     ]
+    original_bounds = LeafDirectory.bounds
 
     def _wrap_bound(
         original: "Callable[..., float]", label: str
@@ -368,13 +378,25 @@ def _patch_index(fault: InjectedFault) -> "Iterator[None]":
 
         return corrupted
 
+    def corrupted_bounds(
+        self: LeafDirectory, query: Hypersphere
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        min_lower, max_lower = original_bounds(self, query)
+        if not fault.fires():
+            return min_lower, max_lower
+        if fault.mode == "raise":
+            raise FaultInjected("injected fault in LeafDirectory.bounds")
+        return fault.corrupt_array(min_lower), fault.corrupt_array(max_lower)
+
     try:
         for cls, name, original in originals:
             setattr(cls, name, _wrap_bound(original, f"{cls.__name__}.{name}"))
+        LeafDirectory.bounds = corrupted_bounds
         yield
     finally:
         for cls, name, original in originals:
             setattr(cls, name, original)
+        LeafDirectory.bounds = original_bounds
 
 
 @contextlib.contextmanager

@@ -17,6 +17,8 @@ from repro.exceptions import ReproError
 from repro.geometry import distance, quartic
 from repro.geometry.hypersphere import Hypersphere
 from repro.geometry.transform import FocalFrame
+from repro.index.packed import LeafDirectory
+from repro.index.sstree import SSTree
 from repro.robust import FLOAT_LADDER, exact_dominates, faults
 
 SEAM_MODE_MATRIX = [
@@ -54,6 +56,7 @@ class TestInjectionMechanics:
             FocalFrame.reduce,
             distance.dist,
             distance.dists,
+            LeafDirectory.bounds,
         )
         for seam in faults.SEAMS:
             with faults.inject(seam, "nan"):
@@ -65,6 +68,7 @@ class TestInjectionMechanics:
             FocalFrame.reduce,
             distance.dist,
             distance.dists,
+            LeafDirectory.bounds,
         ) == originals
 
     def test_seams_restored_even_when_body_raises(self):
@@ -89,6 +93,18 @@ class TestInjectionMechanics:
             second = distance.dists(points, np.zeros(2))
         assert np.isnan(first).all()
         assert second.tolist() == [0.0, 5.0]
+        assert (fault.calls, fault.hits) == (2, 1)
+
+    def test_directory_sweep_is_one_call_of_the_index_seam(self):
+        items = [(i, Hypersphere([float(i), 0.0], 0.25)) for i in range(40)]
+        directory = SSTree.bulk_load(items, max_entries=4).leaf_directory()
+        query = Hypersphere([0.0, 0.0], 0.5)
+        with faults.inject("index", "nan", every=2) as fault:
+            first = directory.bounds(query)
+            second = directory.bounds(query)
+        assert all(np.isnan(bound).all() for bound in first)
+        assert all(np.isfinite(bound).all() for bound in second)
+        assert len(first[0]) == len(directory) > 1
         assert (fault.calls, fault.hits) == (2, 1)
 
     def test_raise_mode_raises_arithmetic_error(self):

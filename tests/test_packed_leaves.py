@@ -122,6 +122,35 @@ class TestLeafArraysInStep:
                 _assert_exact(reopened.base, list(live.items()), rng)
 
 
+@pytest.mark.parametrize(
+    "kind, mutation", [("sstree", "insert"), ("sstree", "remove"), ("mtree", "insert")]
+)
+def test_a_stale_leaf_directory_never_answers(kind, mutation):
+    # The first query builds the tree's leaf directory; a mutation must
+    # drop it, or the second query would bound the old leaves.
+    rng = np.random.default_rng(3)
+    live = {i: _sphere(rng) for i in range(40)}
+    index = _build(kind, list(live.items()))
+    leaf = index.root
+    while not leaf.is_leaf:
+        leaf = leaf.children[0]
+    query = Hypersphere(leaf.entries[0][1].center, 0.5)
+    knn_query(index, query, 5)
+    if mutation == "insert":
+        # New nearest objects, enough to split the query's leaf.
+        for i in range(4):
+            live[f"new{i}"] = Hypersphere(query.center + 0.01 * i, 0.0)
+            index.insert(f"new{i}", live[f"new{i}"])
+    else:
+        # Empty (and so dissolve) the leaf the query sits in.
+        for key, _ in list(leaf.entries):
+            assert index.remove(key, live.pop(key))
+    got = knn_query(index, query, 5)
+    expected = knn_reference(list(live.items()), query, 5)
+    assert got.key_set() == expected.key_set()
+    assert got.distk == expected.distk
+
+
 @pytest.mark.parametrize("kind", TREE_KINDS)
 def test_validate_catches_a_stale_leaf(kind):
     rng = np.random.default_rng(0)
