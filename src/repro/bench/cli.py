@@ -10,7 +10,9 @@ Two modes::
 The first sweeps the pinned parameter points of every selected topic
 (:mod:`repro.bench.topics`) and writes one ``BENCH_<topic>.json`` per
 topic; the second diffs two such directories and exits non-zero when
-any point regressed past the threshold — the CI gate.
+any point regressed past the threshold, or did more work by any of the
+deterministic counters in :data:`repro.bench.compare.WORK_COUNTERS` —
+the CI gate.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def _compare_main(argv: "Sequence[str]") -> int:
         prog="repro bench compare",
         description=(
             "Diff two benchmark trajectories; exits 1 when any matched "
-            "point regressed past the threshold."
+            "point regressed past the threshold or grew a work counter."
         ),
     )
     parser.add_argument(
@@ -150,11 +152,16 @@ def _compare_main(argv: "Sequence[str]") -> int:
         print(
             f"bench compare {comparison.topic}: {comparison.matched} "
             f"matched point(s), {len(comparison.regressions)} "
-            f"regression(s) [{status}]"
+            f"regression(s), {len(comparison.work_increases)} work "
+            f"increase(s) [{status}]"
         )
+        failed = failed or not comparison.ok
         for regression in comparison.regressions:
-            failed = True
             print(f"  ! {regression.describe()}")
+        for increase in comparison.work_increases:
+            print(f"  ! {increase.describe()}")
+        for params, counter, side in comparison.unmatched_counters:
+            print(f"  ? {counter} recorded on the {side} side only: {params}")
         for params in comparison.missing_current:
             print(f"  ? baseline-only point (no current measurement): {params}")
         for params in comparison.missing_baseline:
@@ -162,7 +169,7 @@ def _compare_main(argv: "Sequence[str]") -> int:
     if failed:
         print(
             f"bench compare: FAILED (threshold +{100.0 * args.threshold:.0f}% "
-            f"on {args.metric})",
+            f"on {args.metric}, or any work counter grew)",
             file=sys.stderr,
         )
         return 1

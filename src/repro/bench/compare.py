@@ -9,9 +9,16 @@ threshold::
 
 The default metric is ``p50`` — tail percentiles (p95/p99) from small
 sample counts are too noisy to gate on, but they ride along in the
-report for eyeballing.  Points present on only one side are reported,
-never silently dropped: a vanished point usually means the sweep
-definition changed and the baseline needs regenerating.
+report for eyeballing.
+
+Beside the timing gate sits an exact one: a matched point also fails
+when any of the deterministic work counters in :data:`WORK_COUNTERS`
+grew at all.  Those count kernel rows, quartic solves and index entries
+for seeded inputs, so they do not wander from run to run the way
+timings do.  A counter present on only one side is reported, not
+failed.  Points present on only one side are reported, never silently
+dropped: a vanished point usually means the sweep definition changed
+and the baseline needs regenerating.
 """
 
 from __future__ import annotations
@@ -23,7 +30,24 @@ from typing import Any
 from repro.bench.runner import BenchDocument, document_path, read_document
 from repro.bench.topics import TOPICS
 
-__all__ = ["Regression", "TopicComparison", "compare_documents", "compare_runs"]
+__all__ = [
+    "Regression",
+    "TopicComparison",
+    "WORK_COUNTERS",
+    "WorkIncrease",
+    "compare_documents",
+    "compare_runs",
+]
+
+#: Work counters a matched point may not grow: deterministic for seeded
+#: inputs, so any increase is more work, not noise.
+WORK_COUNTERS = (
+    "batch.hyperbola.rows",
+    "batch.hyperbola.quartic_rows",
+    "knn.entries_considered",
+    "knn.dominance_checks",
+    "hyperbola.quartic",
+)
 
 
 def _point_key(params: "dict[str, Any]") -> "tuple[tuple[str, Any], ...]":
@@ -56,6 +80,24 @@ class Regression:
         )
 
 
+@dataclass(frozen=True)
+class WorkIncrease:
+    """One point whose work counter grew."""
+
+    topic: str
+    params: "dict[str, Any]"
+    counter: str
+    baseline: int
+    current: int
+
+    def describe(self) -> str:
+        params = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+        return (
+            f"{self.topic}[{params}]: {self.counter} "
+            f"{self.baseline} -> {self.current} (+{self.current - self.baseline})"
+        )
+
+
 @dataclass
 class TopicComparison:
     """The outcome of diffing one topic's documents."""
@@ -63,13 +105,18 @@ class TopicComparison:
     topic: str
     matched: int = 0
     regressions: "list[Regression]" = field(default_factory=list)
+    work_increases: "list[WorkIncrease]" = field(default_factory=list)
+    #: ``(params, counter, side)``: a work counter only *side* recorded.
+    unmatched_counters: "list[tuple[dict[str, Any], str, str]]" = field(
+        default_factory=list
+    )
     #: Points in the baseline with no current counterpart, and vice versa.
     missing_current: "list[dict[str, Any]]" = field(default_factory=list)
     missing_baseline: "list[dict[str, Any]]" = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.work_increases
 
 
 def compare_documents(
@@ -105,10 +152,40 @@ def compare_documents(
                     current=current_value,
                 )
             )
+        _compare_work(comparison, base, point)
     for key, point in baseline_points.items():
         if key not in current_keys:
             comparison.missing_current.append(dict(point["params"]))
     return comparison
+
+
+def _compare_work(
+    comparison: TopicComparison,
+    base: "dict[str, Any]",
+    point: "dict[str, Any]",
+) -> None:
+    """Record every work counter of a matched point that grew."""
+    params = dict(point["params"])
+    base_counters = base.get("counters", {})
+    current_counters = point.get("counters", {})
+    for counter in WORK_COUNTERS:
+        before = base_counters.get(counter)
+        after = current_counters.get(counter)
+        if before is None and after is None:
+            continue
+        if before is None or after is None:
+            side = "current" if before is None else "baseline"
+            comparison.unmatched_counters.append((params, counter, side))
+        elif after > before:
+            comparison.work_increases.append(
+                WorkIncrease(
+                    topic=comparison.topic,
+                    params=params,
+                    counter=counter,
+                    baseline=int(before),
+                    current=int(after),
+                )
+            )
 
 
 def compare_runs(

@@ -109,6 +109,12 @@ KNN_REFERENCE_DOMINANCE_CHECKS = "knn.reference_dominance_checks"
 RNN_QUERIES = "rnn.queries"
 RNN_UNCERTAIN_DECISIONS = "rnn.uncertain_decisions"
 
+# repro.queries.rknn / repro.queries.dominating — pairs and rows the
+# bounds settle before the batch kernel (the kernel sees the rest).
+FLAT_CENTER_RULED_OUT = "flat.center_ruled_out"
+FLAT_MINMAX_RULED_IN = "flat.minmax_ruled_in"
+FLAT_ROWS_PRUNED = "flat.rows_pruned"
+
 # repro.robust — escalation-ladder and fallback outcomes.
 VERIFIED_UNCERTAIN = "verified.uncertain"
 VERIFIED_FALLBACK_NONE = "verified.fallback.none"

@@ -14,8 +14,9 @@ Extensions (applications the paper names but does not evaluate):
 
 - :mod:`repro.queries.rknn` — reverse-NN candidates via dominance
   pruning;
-- :mod:`repro.queries.dominating` — top-k dominating queries scored
-  with the vectorised kernels.
+- :mod:`repro.queries.dominating` — top-k dominating queries, scored
+  bounds first, with the vectorised kernels on the pairs the bounds
+  leave open.
 """
 
 from repro.queries.browse import browse

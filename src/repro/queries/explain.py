@@ -13,6 +13,8 @@ and structures the result as a :class:`QueryExplain`:
   quartic breakdown behind the fall-throughs;
 - certified-ladder escalations (``verified.stage.*``) when the
   verified criterion is in play;
+- for the flat scans, the pairs and rows their bounds settle before
+  the batch kernel (``flat.*``);
 - pruning effectiveness and answer statistics;
 - budget consumption and the achieved guarantee tier when a
   :class:`repro.resilience.Budget` is active.
@@ -82,6 +84,13 @@ _HYPERBOLA_KEYS = {
     names.BATCH_HYPERBOLA_QUARTIC_ROWS: "quartic",
 }
 
+#: Flat-scan work the bounds settle, so the kernel never sees it.
+_BOUND_KEYS = {
+    names.FLAT_CENTER_RULED_OUT: "center_ruled_out",
+    names.FLAT_MINMAX_RULED_IN: "minmax_ruled_in",
+    names.FLAT_ROWS_PRUNED: "rows_pruned",
+}
+
 
 @dataclass
 class QueryExplain:
@@ -102,6 +111,10 @@ class QueryExplain:
     #: Hyperbola fast-path / slow-path breakdown behind fall-throughs:
     #: scalar calls plus batch-kernel rows, summed per label.
     hyperbola: "dict[str, int]"
+    #: Flat scans: pairs the center bound ruled out, pairs MinMax ruled
+    #: in, and top-k rows the score bounds pruned, none of which reach
+    #: the kernel (empty for kNN).
+    bounds: "dict[str, int]"
     #: Certified-ladder stage attempts (``verified.stage.<stage>`` keys).
     ladder: "dict[str, int]"
     #: Budget consumption and degradation outcome (None when unbudgeted).
@@ -134,6 +147,7 @@ class QueryExplain:
             "traversal": dict(self.traversal),
             "cascade": dict(self.cascade),
             "hyperbola": dict(self.hyperbola),
+            "bounds": dict(self.bounds),
             "ladder": dict(self.ladder),
             "budget": dict(self.budget) if self.budget is not None else None,
             "counters": dict(self.counters),
@@ -208,6 +222,13 @@ class QueryExplain:
                 f"{fast} fast-path, "
                 f"{self.hyperbola.get('bisector', 0)} bisector, "
                 f"{self.hyperbola.get('quartic', 0)} quartic"
+            )
+        if self.bounds:
+            lines.append(
+                f"├─ bounds: {self.bounds.get('center_ruled_out', 0)} pair(s) "
+                f"ruled out by the center test, "
+                f"{self.bounds.get('minmax_ruled_in', 0)} ruled in by MinMax, "
+                f"{self.bounds.get('rows_pruned', 0)} row(s) pruned"
             )
         if self.ladder:
             stages = ", ".join(
@@ -310,6 +331,11 @@ class _ExplainCollector:
         for key, label in _HYPERBOLA_KEYS.items():
             if key in counters:
                 hyperbola[label] = hyperbola.get(label, 0) + counters[key]
+        bounds = {
+            label: counters[key]
+            for key, label in _BOUND_KEYS.items()
+            if key in counters
+        }
         ladder = {
             key: value
             for key, value in counters.items()
@@ -354,6 +380,7 @@ class _ExplainCollector:
             traversal=traversal,
             cascade=cascade,
             hyperbola=hyperbola,
+            bounds=bounds,
             ladder=ladder,
             budget=budget_info,
             counters=counters,

@@ -22,23 +22,28 @@ superset, mirroring the kNN precision experiments.
 The scan sweeps the n x n pair matrix in column blocks of at most
 :data:`repro.queries.blocks.BLOCK_PAIRS` pairs (column ``b`` holds the
 competitors ``Sa`` of object ``Sb``).  Per block the center gaps are
-computed once; a vectorised MinMax pre-filter refutes what it can and a
+computed once; a vectorised MinMax pre-filter refutes what it can, a
 plausibility test (``MinDist(Sa, Sb) <= MaxDist(Sq, Sb)``, self
-excluded) drops pairs that cannot dominate.  Every surviving pair is
-then decided by one :func:`repro.core.batch.batch_evaluate` call (paper
-Section 5.2), OR-reduced per column.  Criteria without a batch kernel
-(``cascade``, ``verified``) decide the pairs one scalar call at a time,
-stopping at an object's first refutation.
+excluded) drops pairs that cannot dominate, and for a *correct*
+criterion so does the Hyperbola kernel's center test in RkNN's
+orientation, ``|cq - cb| - |ca - cb| - (ra + rq) > 0`` (pairs within
+:data:`repro.queries.blocks.PAIR_GUARD` of it stay).  The surviving
+pairs queue across blocks and go to one
+:func:`repro.core.batch.batch_evaluate` call (paper Section 5.2) per
+``BLOCK_PAIRS`` pending pairs, OR-reduced per column.  Criteria without
+a batch kernel (``cascade``, ``verified``) decide the queued pairs one
+scalar call at a time, stopping at an object's first refutation.
 
 Resilience: membership here is refute-only, so every degradation is a
-*kept* candidate.  A raising batch kernel sends its block through the
+*kept* candidate.  A raising kernel call sends its pairs through the
 scalar per-pair pass (one absorbed fault); a raising criterion on one
 pair keeps that pair's candidate (absorbed fault).  Each block charges
-one candidate per object before it is swept, so an exhausted
+one candidate per object before its pairs are built, so an exhausted
 :class:`repro.resilience.Budget` keeps every not-yet-examined object,
 exactly as an object-at-a-time scan would, and returns a
 :class:`repro.resilience.PartialResult` — the candidate set is then a
-superset of the exact one, never missing a true reverse-NN.
+superset of the exact one, never missing a true reverse-NN.  With
+``overlay`` deleting every object, the answer is empty.
 """
 
 from __future__ import annotations
@@ -55,9 +60,15 @@ from repro.core.base import DominanceCriterion, get_criterion
 from repro.core.batch import available_kernels, batch_evaluate
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
-from repro.queries.blocks import blocks, charge_rows
+from repro.queries.blocks import (
+    BLOCK_PAIRS,
+    PendingPairs,
+    blocks,
+    charge_rows,
+    flat_dataset,
+    pair_guard,
+)
 from repro.queries.explain import ExplainedResult, explain_capture
-from repro.queries.validation import validate_query
 from repro.resilience.budget import current as current_budget
 from repro.resilience.partial import PartialResult, ResilienceReport
 
@@ -66,7 +77,7 @@ if TYPE_CHECKING:
 
 __all__ = ["rnn_candidates"]
 
-#: Criteria whose pairs a block refines with one batch-kernel call.
+#: Criteria whose queued pairs go to one batch-kernel call per flush.
 _BATCH_KERNELS = frozenset(available_kernels())
 
 
@@ -105,34 +116,29 @@ def rnn_candidates(
     set, so a tombstoned object can neither appear as a candidate nor
     refute one.
     """
-    if overlay is not None and overlay:
-        dataset = LinearIndex(overlay.fold(iter(dataset)))
-        if obs.ENABLED:
-            obs.incr(names.STREAM_MERGED_QUERIES)
-    elif not isinstance(dataset, LinearIndex):
-        dataset = LinearIndex(dataset)
-    validate_query(query, dataset.dimension)
+    flat = flat_dataset(dataset, query, overlay)
     if isinstance(criterion, str):
         criterion = get_criterion(criterion)
     event_log = obs_export.current_event_log()
     if explain:
-        params = {"criterion": criterion.name, "n": len(dataset)}
+        size = 0 if flat is None else len(flat)
+        params = {"criterion": criterion.name, "n": size}
         with explain_capture() as capture:
-            outcome = _run_rnn(dataset, query, criterion)
+            outcome = _run_rnn(flat, query, criterion)
             detail = capture.finish("rknn", params, outcome)
         if event_log is not None:
             event_log.emit_outcome("rknn", outcome, detail.duration_s)
         return ExplainedResult(outcome, detail)
     if event_log is None:
-        return _run_rnn(dataset, query, criterion)
+        return _run_rnn(flat, query, criterion)
     started = time.perf_counter()
-    outcome = _run_rnn(dataset, query, criterion)
+    outcome = _run_rnn(flat, query, criterion)
     event_log.emit_outcome("rknn", outcome, time.perf_counter() - started)
     return outcome
 
 
 def _run_rnn(
-    dataset: LinearIndex,
+    dataset: "LinearIndex | None",
     query: Hypersphere,
     criterion: DominanceCriterion,
 ) -> "list | PartialResult":
@@ -141,18 +147,24 @@ def _run_rnn(
     if budget is not None:
         budget.start()
 
+    report = ResilienceReport()
+    if dataset is None:  # every object deleted: nothing to answer
+        return [] if budget is None else PartialResult([], report)
+
     n = len(dataset)
     centers = dataset.centers
     radii = dataset.radii
     spheres = dataset.spheres
+    rq = query.radius
     batched = criterion.name in _BATCH_KERNELS
     # Duck-typed tally of certified-criterion abstentions (see knn.py).
     uncertain_before = int(getattr(criterion, "uncertain_count", 0))
-    report = ResilienceReport()
     absorbed = 0
     refuted = np.zeros(n, dtype=bool)
     examined = n
     gaps_q = np.linalg.norm(centers - query.center, axis=1)
+    guard = pair_guard(gaps_q, radii, rq)
+    pending = PendingPairs()  # (competitor, object) pairs for the kernel
     for lo, hi in blocks(n):
         if budget is not None:
             granted = charge_rows(budget, lo, hi, 1)
@@ -161,15 +173,13 @@ def _run_rnn(
                 # so it stays a candidate — the answer set only widens.
                 report.mark_incomplete(budget.exhausted() or "deadline")
                 examined = hi = granted
-        if lo == hi:
-            break  # cut at the block's first object
         own = np.arange(lo, hi)
         columns = own - lo
         rb = radii[lo:hi]
         gaps = np.linalg.norm(centers[:, None, :] - centers[None, lo:hi], axis=2)
         # Vectorised MinMax pre-filter (correct, so pruning is safe):
         # Sa dominates Sq wrt Sb when MaxDist(Sa, Sb) < MinDist(Sq, Sb).
-        min_dist_q = np.maximum(gaps_q[lo:hi] - query.radius - rb, 0.0)
+        min_dist_q = np.maximum(gaps_q[lo:hi] - rq - rb, 0.0)
         max_dists = gaps + radii[:, None] + rb
         max_dists[own, columns] = np.inf  # an object never competes against itself
         block = refuted[lo:hi]  # a view: refuting a column marks refuted
@@ -177,41 +187,61 @@ def _run_rnn(
         # Exact pass over the plausible pairs of unrefuted columns only.
         # Dominance of Sq wrt Sb needs MinDist(Sa, Sb) <= MaxDist(Sq, Sb)
         # (a necessary condition), so anything farther can be skipped.
-        plausible = gaps - radii[:, None] - rb <= gaps_q[lo:hi] + query.radius + rb
+        plausible = gaps - radii[:, None] - rb <= gaps_q[lo:hi] + rq + rb
         plausible[own, columns] = False
         plausible[:, block] = False
+        if criterion.is_correct:
+            # For a correct criterion so is the kernel's center test in
+            # RkNN's orientation, |cq - cb| - |ca - cb| - (ra + rq) > 0;
+            # pairs within the guard of it go to the criterion.
+            inside = gaps_q[lo:hi] - gaps - (radii[:, None] + rq) > -guard
+            if obs.ENABLED:
+                obs.incr(
+                    names.FLAT_CENTER_RULED_OUT,
+                    int(np.count_nonzero(plausible & ~inside)),
+                )
+            plausible &= inside
+        # Column-major: each object's competitors, in dataset order.
+        cols, rows = np.nonzero(plausible.T)
+        pending.add(rows, lo + cols)
+        if pending.size < BLOCK_PAIRS and hi < n and report.complete:
+            continue  # flush at BLOCK_PAIRS pending, the last block or a cut
+        competitors, objects = pending.take()
         scalar = not batched
-        if batched:
-            rows, cols = np.nonzero(plausible)
+        if batched and competitors.size:
             try:
                 hits = batch_evaluate(
                     criterion.name,
-                    centers[rows],
-                    np.broadcast_to(query.center, (rows.size, dataset.dimension)),
-                    centers[lo + cols],
-                    radii[rows],
-                    np.full(rows.size, query.radius),
-                    rb[cols],
+                    centers[competitors],
+                    np.broadcast_to(
+                        query.center, (competitors.size, dataset.dimension)
+                    ),
+                    centers[objects],
+                    radii[competitors],
+                    np.full(competitors.size, rq),
+                    radii[objects],
                 )
             except ArithmeticError:
-                # A broken kernel proves nothing: redo the block pair by
-                # pair, and count the absorption.
+                # A broken kernel proves nothing: redo its pairs one by
+                # one, and count the absorption.
                 absorbed += 1
                 scalar = True
             else:
-                block[cols[hits]] = True
+                refuted[objects[hits]] = True
         if scalar:
-            for column in np.flatnonzero(~block):
-                sphere_b = spheres[lo + column]
-                for a in np.flatnonzero(plausible[:, column]):
-                    try:
-                        if criterion.dominates(spheres[a], query, sphere_b):
-                            block[column] = True
-                            break
-                    except ArithmeticError:
-                        # A broken kernel cannot prove a prune safe: keep
-                        # the pair unrefuted and count the absorption.
-                        absorbed += 1
+            candidates = zip(competitors.tolist(), objects.tolist())
+            for competitor, column in candidates:
+                if refuted[column]:
+                    continue  # refuted already: stop at the first refutation
+                try:
+                    if criterion.dominates(
+                        spheres[competitor], query, spheres[column]
+                    ):
+                        refuted[column] = True
+                except ArithmeticError:
+                    # A broken kernel cannot prove a prune safe: keep
+                    # the pair unrefuted and count the absorption.
+                    absorbed += 1
         if not report.complete:
             break
     survivors = [

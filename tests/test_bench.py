@@ -107,7 +107,9 @@ class TestRunner:
         assert loaded.to_dict() == document.to_dict()
 
 
-def _fake_document(topic: str, p50: float) -> BenchDocument:
+def _fake_document(
+    topic: str, p50: float, counters: "dict[str, int] | None" = None
+) -> BenchDocument:
     return BenchDocument(
         topic=topic,
         git_sha="deadbeef",
@@ -130,7 +132,7 @@ def _fake_document(topic: str, p50: float) -> BenchDocument:
                     "max": p50 * 2.0,
                 },
                 "throughput_ops": 1.0 / p50,
-                "counters": {},
+                "counters": dict(counters or {}),
             }
         ],
     )
@@ -180,6 +182,75 @@ class TestCompare:
         )
         assert len(comparisons) == 1
         assert not comparisons[0].ok
+
+
+class TestWorkCounterGate:
+    WORK = {"batch.hyperbola.rows": 2955, "batch.hyperbola.quartic_rows": 941}
+
+    def test_identical_counters_pass(self):
+        baseline = _fake_document("dominating", 0.010, self.WORK)
+        comparison = compare_documents(baseline, baseline, threshold=0.25)
+        assert comparison.ok
+        assert comparison.work_increases == []
+        assert comparison.unmatched_counters == []
+
+    def test_one_more_kernel_row_fails(self):
+        baseline = _fake_document("dominating", 0.010, self.WORK)
+        grown = dict(self.WORK, **{"batch.hyperbola.rows": 2956})
+        # Faster, but more work: the exact gate fails where timing passes.
+        current = _fake_document("dominating", 0.005, grown)
+        comparison = compare_documents(baseline, current, threshold=0.25)
+        assert not comparison.ok
+        assert comparison.regressions == []
+        [increase] = comparison.work_increases
+        assert (increase.counter, increase.baseline, increase.current) == (
+            "batch.hyperbola.rows", 2955, 2956
+        )
+        assert "+1" in increase.describe()
+
+    def test_less_work_passes(self):
+        baseline = _fake_document("dominating", 0.010, self.WORK)
+        current = _fake_document(
+            "dominating", 0.010, {key: 0 for key in self.WORK}
+        )
+        assert compare_documents(baseline, current, threshold=0.25).ok
+
+    def test_counter_on_one_side_is_reported_not_failed(self):
+        baseline = _fake_document("dominating", 0.010, self.WORK)
+        current = _fake_document(
+            "dominating", 0.010, {"batch.hyperbola.rows": 2955}
+        )
+        comparison = compare_documents(baseline, current, threshold=0.25)
+        assert comparison.ok
+        assert comparison.unmatched_counters == [
+            ({"n": 100, "d": 3}, "batch.hyperbola.quartic_rows", "baseline")
+        ]
+
+    def test_cli_fails_on_more_work(self, tmp_path, capsys):
+        baseline_dir = tmp_path / "a"
+        current_dir = tmp_path / "b"
+        write_document(
+            _fake_document("knn", 0.010, {"knn.entries_considered": 100}),
+            str(baseline_dir),
+        )
+        write_document(
+            _fake_document("knn", 0.010, {"knn.entries_considered": 101}),
+            str(current_dir),
+        )
+        code = cli_main(
+            [
+                "bench",
+                "compare",
+                "--baseline",
+                str(baseline_dir),
+                "--current",
+                str(current_dir),
+                "--topics",
+                "knn",
+            ]
+        )
+        assert code == 1
+        assert "knn.entries_considered 100 -> 101" in capsys.readouterr().out
 
 
 class TestBenchCli:

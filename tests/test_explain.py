@@ -196,6 +196,30 @@ class TestOtherKindsExplain:
         assert explained.explain.answer_size == 3
         assert_hyperbola_rows_add_up(explained.explain.hyperbola)
 
+    def test_dominating_bounds_and_kernel_cover_every_scored_pair(self, world):
+        # Each scored row's n - 1 pairs end in exactly one place: ruled
+        # out by the center bound, ruled in by MinMax, or a kernel row.
+        dataset, _, query = world
+        flat = LinearIndex(dataset.items())
+        n = len(flat)
+        detail = top_k_dominating(flat, query, 3, explain=True).explain
+        bounds = detail.bounds
+        assert bounds["rows_pruned"] > 0
+        assert bounds["center_ruled_out"] > 0
+        settled = bounds["center_ruled_out"] + bounds["minmax_ruled_in"]
+        assert detail.hyperbola["calls"] + settled == (
+            (n - bounds["rows_pruned"]) * (n - 1)
+        )
+        assert "bounds:" in detail.render()
+
+    def test_rknn_reports_the_center_bound(self, world):
+        dataset, _, query = world
+        detail = rnn_candidates(
+            LinearIndex(dataset.items()), query, explain=True
+        ).explain
+        assert detail.bounds["center_ruled_out"] > 0
+        assert "rows_pruned" not in detail.bounds
+
 
 class TestExplainCli:
     def test_text_render(self, capsys):

@@ -217,6 +217,37 @@ class TestMutateEndpoint:
         assert status == 200
         assert json.loads(raw)["result"]["keys"] == [9001]
 
+    def test_flat_queries_on_an_emptied_stream(self, tmp_path, dataset):
+        # Delete every object, then query: RkNN has no candidate left,
+        # and top-k has no k to give, like kNN — never a 500.
+        directory = str(tmp_path / "tiny")
+        items = list(dataset.items())[:4]
+        StreamingIndex.create(directory, items, kind="sstree").close()
+        where = {"index": "default", "center": [100.0, 100.0, 100.0],
+                 "radius": 0.5}
+
+        async def scenario(host, port):
+            for key, _ in items:
+                status, _, _ = await request(
+                    host, port, "POST", "/mutate",
+                    body={"index": "default", "op": "delete", "key": key},
+                )
+                assert status == 200
+            return [
+                await request(host, port, "POST", "/query",
+                              body={"kind": kind, **where, **extra})
+                for kind, extra in (
+                    ("rknn", {}), ("dominating", {"k": 1}), ("knn", {"k": 1})
+                )
+            ]
+
+        (rknn, dominating, knn), _ = drive(make_stream_app(directory), scenario)
+        assert rknn[0] == 200
+        assert json.loads(rknn[2])["result"] == []
+        for status, _, raw in (dominating, knn):
+            assert status == 400
+            assert "exceeds the dataset size 0" in json.loads(raw)["message"]
+
 
 class TestSloAggregation:
     def _event(self, tenant, status, duration_s=0.01):
