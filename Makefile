@@ -25,7 +25,9 @@ lint:
 # kNN against knn_reference, and RkNN and top-k dominating against
 # oracles that ask the scalar criterion about every pair; the batch
 # suite checks the vectorised kernels against the scalar criteria and
-# the Hyperbola kernel's dmin bracket against its all-rows quartic.  The
+# the Hyperbola kernel's dmin bracket against its all-rows solve.  The
+# nearly-flat suite checks every dmin path and ladder rung against the
+# exact arbiter where the paper's quartic goes wrong.  The
 # packed-leaves suite mutates and snapshots trees between kNN queries,
 # so stale leaf arrays or a stale leaf directory would show.
 fuzz:
@@ -33,6 +35,7 @@ fuzz:
 		tests/test_boundary_fuzz.py tests/test_faults.py \
 		tests/test_robust_exact.py tests/test_robust_decision.py \
 		tests/test_criteria_properties.py tests/test_batch.py \
+		tests/test_nearly_flat.py \
 		tests/test_knn_properties.py tests/test_flat_properties.py \
 		tests/test_packed_leaves.py
 

@@ -23,7 +23,6 @@ import time
 from conftest import dominance_workload, make_synthetic
 
 from repro import obs
-from repro.core import hyperbola
 from repro.core.hyperbola import HyperbolaCriterion, boundary_margin
 from repro.geometry.transform import FocalFrame
 
@@ -50,10 +49,10 @@ class _BaselineHyperbola(HyperbolaCriterion):
         rab = sa.radius + sb.radius
         if sa.dimension == 1:
             dmin = abs(t + rab / 2.0)
-        elif rab <= hyperbola._BISECTOR_THRESHOLD * frame.alpha:
+        elif rab == 0.0:
             dmin = abs(t)
         else:
-            dmin = hyperbola._distance_to_hyperbola_2d(t, rho, frame.alpha, rab)
+            dmin = self._curved_dmin(t, rho, frame.alpha, rab)
         return dmin > sq.radius
 
 

@@ -9,11 +9,9 @@ element-by-element).
 
 The Hyperbola kernel filters before it refines: a closed-form bracket
 ``lower <= dmin <= upper`` settles every curved row whose ``rq`` falls
-clear of it, and only the rows in between solve the Equation (14)
-quartic.  Its decisions equal the scalar kernel's wherever the quartic
-finds its roots.  Where the quartic overestimates ``dmin`` (nearly flat
-hyperbolas), a row the bracket settles gets the right answer and the
-scalar kernel does not.
+clear of it, and only the rows in between go to the ``dmin`` solver of
+:mod:`repro.core.dmin`, the one the scalar kernel uses, so the two
+kernels decide every row alike.
 
 All functions share the same signature: six arrays describing ``n``
 triples —
@@ -31,8 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.hyperbola import _BISECTOR_THRESHOLD
-from repro.geometry import quartic
+from repro.core import dmin as _dmin
 from repro.obs import names
 
 #: Anything convertible to an ``(n, d)`` float array of centers.
@@ -153,8 +150,8 @@ def batch_trigonometric(
 
 # A closed-form bound on ``dmin`` settles a row only when it clears
 # ``rq`` by this much relative to the row's length scale
-# ``alpha + |t| + rho``; closer rows go to the quartic, so rounding in
-# the bounds never decides a row the quartic would decide otherwise.
+# ``alpha + |t| + rho``; closer rows go to the solver, so rounding in
+# the bounds never decides a row the solver would decide otherwise.
 _BRACKET_GUARD = 1e-9
 
 
@@ -173,74 +170,16 @@ def _reduce_to_half_plane(
 def _batch_distance_to_hyperbola(
     t: np.ndarray, rho: np.ndarray, alpha: np.ndarray, rab: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :func:`repro.core.hyperbola._distance_to_hyperbola_2d`.
+    """Row-wise ``dmin`` for rows with ``0 < rab < 2 * alpha``.
 
-    Rows must satisfy ``0 < rab < 2 * alpha``.  Like the scalar kernel,
-    each row is solved in units of its ``alpha`` and scaled back.
+    Resolves :func:`repro.core.dmin.solve_batch` at call time, like the
+    scalar kernel's solver, so the ``"dmin"`` fault seam reaches batched
+    decisions too; a non-finite distance raises :class:`ArithmeticError`.
     """
-    unit = alpha
-    t, rho, rab = t / unit, rho / unit, rab / unit
-    alpha = np.ones_like(unit)
-    rab_sq = rab * rab
-    alpha_sq = alpha * alpha
-    a1 = (16.0 * alpha_sq - 4.0 * rab_sq) * t * t
-    a2 = rab_sq * rab_sq - 4.0 * rab_sq * alpha_sq
-    a3 = 4.0 * rab_sq * rho * rho
-    a4 = 4.0 * rab_sq
-    a5 = 4.0 * rab_sq - 16.0 * alpha_sq
-
-    coefficients = np.stack(
-        [
-            a2 * a4 * a4 * a5 * a5,
-            2.0 * a2 * a4 * a4 * a5 + 2.0 * a2 * a4 * a5 * a5,
-            a1 * a4 * a4 + a2 * a4 * a4 + 4.0 * a2 * a4 * a5 + a2 * a5 * a5
-            - a3 * a5 * a5,
-            2.0 * a1 * a4 + 2.0 * a2 * a4 + 2.0 * a2 * a5 - 2.0 * a3 * a5,
-            a1 + a2 - a3,
-        ],
-        axis=1,
-    )
-    # Resolved at call time, like the scalar kernel's solver, so the
-    # quartic fault seam reaches batched decisions too.
-    lam = quartic.solve_quartic_real_batch(coefficients)  # (n, 4), nan padded
-
-    def quadric_y_sq(x: np.ndarray) -> np.ndarray:
-        """``y^2`` placing ``(x, y)`` on the quadric (may be negative)."""
-        return (
-            (16.0 * alpha_sq - 4.0 * rab_sq)[..., None] * x * x
-            / (4.0 * rab_sq)[..., None]
-            - alpha_sq[..., None]
-            + rab_sq[..., None] / 4.0
-        )
-
-    denom_x = 1.0 + a5[:, None] * lam
-    bad = np.isnan(lam) | (np.abs(denom_x) < 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = t[:, None] / denom_x
-    # As in the scalar kernel: re-derive y from the quadric so every
-    # candidate is genuinely on the curve (off-quadric candidates from
-    # near-degenerate roots would underestimate the distance).
-    y_sq = quadric_y_sq(np.where(bad, 0.0, x))
-    bad |= y_sq < 0.0
-    y = np.sqrt(np.maximum(y_sq, 0.0))
-    dist_sq = (t[:, None] - x) ** 2 + (rho[:, None] - y) ** 2
-    dist_sq = np.where(bad, np.inf, dist_sq)
-    best_sq = np.min(dist_sq, axis=1, initial=np.inf)
-
-    # Vertex candidates.
-    half_rab = rab / 2.0
-    best_sq = np.minimum(best_sq, (t - half_rab) ** 2 + rho * rho)
-    best_sq = np.minimum(best_sq, (t + half_rab) ** 2 + rho * rho)
-
-    # Off-axis critical ring.
-    x_ring = t * rab_sq / (4.0 * alpha_sq)
-    y_ring_sq = quadric_y_sq(x_ring[:, None])[:, 0]
-    valid_ring = y_ring_sq >= 0.0
-    y_ring = np.sqrt(np.maximum(y_ring_sq, 0.0))
-    ring_sq = (t - x_ring) ** 2 + (rho - y_ring) ** 2
-    best_sq = np.where(valid_ring, np.minimum(best_sq, ring_sq), best_sq)
-
-    return unit * np.sqrt(best_sq)
+    dmin = _dmin.solve_batch(t, rho, alpha, rab)
+    if not np.all(np.isfinite(dmin)):
+        raise ArithmeticError("the dmin solver returned a non-finite distance")
+    return dmin
 
 
 def _dmin_bracket(
@@ -316,15 +255,14 @@ def batch_hyperbola(
         result[live] = np.abs(t[live] + rab[live] / 2.0) > rq[live]
         return result
 
-    # Same threshold as the scalar kernel: a hyperbola this flat is the
-    # bisector hyperplane to within float resolution (and the quartic
-    # coefficients would underflow).
-    flat = rab <= _BISECTOR_THRESHOLD * gap / 2.0  # alpha = gap / 2
+    # As in the scalar kernel, only point objects (rab == 0) take the
+    # bisector hyperplane; every rab > 0 bends the boundary.
+    flat = rab == 0.0
     bisector = live & flat
     result[bisector] = np.abs(t[bisector]) > rq[bisector]
 
     # Curved rows: the closed-form bracket settles every row whose rq
-    # falls clear of it; only the band in between solves the quartic.
+    # falls clear of it; only the band in between goes to the solver.
     idx = np.flatnonzero(live & ~flat)
     alpha = gap[idx] / 2.0
     lower, upper, guard = _dmin_bracket(t[idx], rho[idx], alpha, rab[idx])

@@ -19,22 +19,13 @@ whole query sphere lies in ``Ra`` (Lemma 7).  The algorithm therefore:
 ``dmin`` is found in O(d): after an isometric change of frame the whole
 problem lives in the 2-D half-plane spanned by the focal axis and the
 query center (``(t, rho)`` coordinates, see
-:class:`~repro.geometry.transform.FocalFrame`), where the Lagrange
-conditions for the constrained minimisation reduce to the quartic
-Equation (14) of the paper.  The candidate stationary points are:
-
-- the (up to four) points obtained from the real quartic roots through
-  Equations (12) and (13);
-- the two hyperbola vertices ``(+-(ra+rb)/2, 0)``, which satisfy the
-  quadric equation identically and cover the degenerate Lagrange branch
-  that appears when ``cq`` lies on the focal axis (``rho == 0``);
-- the off-axis critical ring at ``lambda = -1/(4 rab^2)``, the other
-  degenerate branch of the same case.
-
-Squaring during the derivation makes ``F(x) = 0`` describe *both*
-branches of the hyperbola, but when ``cq`` is inside ``Ra`` the near
-branch is ``Ra``'s boundary (mirror symmetry in the focal bisector), so
-the distance to the quadric equals the distance to the boundary.
+:class:`~repro.geometry.transform.FocalFrame`).  The paper solves the
+Lagrange conditions there through the quartic Equation (14); the
+served kernel instead finds the nearest branch point as the root of one
+monotone function (:mod:`repro.core.dmin`), which stays exact on the
+nearly flat hyperbolas where the quartic's roots lose their digits.
+The paper's quartic search lives on in
+:mod:`repro.experiments.quartic`, for the figures that time it.
 
 When ``ra + rb == 0`` the locus degenerates to the perpendicular
 bisector hyperplane of the segment ``ca cb`` and ``dmin = |t|``.
@@ -43,13 +34,13 @@ bisector hyperplane of the segment ``ca cb`` and ``dmin = |t|``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.core import dmin as _dmin
 from repro.core.base import DominanceCriterion, register_criterion
-from repro.geometry import quartic
 from repro.geometry.distance import dist
 from repro.geometry.hypersphere import Hypersphere
 from repro.geometry.transform import FocalFrame
@@ -61,18 +52,6 @@ __all__ = [
     "boundary_margin",
     "dominates_with_margin",
 ]
-
-# A denominator in Equations (12)/(13) smaller than this (relative to the
-# coefficient scale) marks a degenerate Lagrange branch; those branches are
-# covered by the explicit vertex / ring candidates instead.
-_DENOM_EPS = 1e-12
-
-# When ra + rb is this small relative to alpha the hyperbola is flat to
-# within float resolution (its vertex offset is rab/2 << any distance the
-# decision compares), so the perpendicular-bisector formula is used.  This
-# also shields the quartic coefficients (powers up to rab^4) from
-# underflow when the radii are subnormal.
-_BISECTOR_THRESHOLD = 1e-9
 
 
 def boundary_margin(
@@ -89,128 +68,19 @@ def boundary_margin(
     )
 
 
-def _distance_to_hyperbola_2d(
-    t: float,
-    rho: float,
-    alpha: float,
-    rab: float,
-    solver: "Callable[[Sequence[float]], np.ndarray] | None" = None,
-) -> float:
-    """Minimum distance from ``(t, rho)`` to the quadric ``F = 0``.
+def _solved_dmin(t: float, rho: float, alpha: float, rab: float) -> float:
+    """``dmin`` for a curved row ``0 < rab < 2 alpha``, from the solver.
 
-    Works entirely in the reduced half-plane: the quadric is
-    ``x^2 / (rab/2)^2 - y^2 / (alpha^2 - (rab/2)^2) = 1`` and the query
-    point is ``(t, rho)`` with ``rho >= 0``.  Requires ``0 < rab <
-    2*alpha`` (the caller guarantees it via the overlap fast-path).
-
-    The search runs in units of ``alpha``: ``t``, ``rho`` and ``rab``
-    are divided by ``alpha``, the quartic is solved with ``alpha = 1``
-    and the distance is scaled back.  The Equation (14) coefficients
-    span a ratio that grows as ``alpha^8`` with the scene's length
-    scale, so on a small scene the solver would otherwise trim the
-    leading coefficient as zero and lose the nearest point's root.
-
-    *solver* substitutes a different quartic root solver (used by the
-    :mod:`repro.robust` escalation ladder to drive the same candidate
-    enumeration through each precision stage); the default resolves
-    :func:`repro.geometry.quartic.solve_quartic_real` at call time.
-
-    Raises :class:`ArithmeticError` when a non-finite root or input
-    corrupts the candidate search — a silent ``nan`` would be dropped by
-    the float comparisons and *inflate* the minimum, turning numerical
-    corruption into a wrong "dominates" answer.
+    Resolves :func:`repro.core.dmin.solve` at call time (the ``"dmin"``
+    fault seam) and raises :class:`ArithmeticError` on a non-finite
+    answer: a silent ``nan`` would lose the ``dmin > rq`` comparison
+    and an ``inf`` would win it, turning numerical corruption into a
+    wrong verdict.
     """
-    if solver is None:
-        solver = quartic.solve_quartic_real
-    unit = alpha
-    t, rho, rab, alpha = t / unit, rho / unit, rab / unit, 1.0
-    rab_sq = rab * rab
-    alpha_sq = alpha * alpha
-    # Coefficients from Section 4.3.2 of the paper.
-    a1 = (16.0 * alpha_sq - 4.0 * rab_sq) * t * t
-    a2 = rab_sq * rab_sq - 4.0 * rab_sq * alpha_sq
-    a3 = 4.0 * rab_sq * rho * rho
-    a4 = 4.0 * rab_sq
-    a5 = 4.0 * rab_sq - 16.0 * alpha_sq
-
-    best_sq = math.inf
-    candidates = 0
-
-    def consider(x: float, y: float) -> None:
-        nonlocal best_sq
-        dx = t - x
-        dy = rho - y
-        candidate = dx * dx + dy * dy
-        if candidate < best_sq:
-            best_sq = candidate
-
-    def quadric_y_sq(x: float) -> float:
-        """``y^2`` such that ``(x, y)`` lies on ``F = 0`` (may be < 0)."""
-        return (
-            (16.0 * alpha_sq - 4.0 * rab_sq) * x * x / (4.0 * rab_sq)
-            - alpha_sq
-            + rab_sq / 4.0
-        )
-
-    # Vertex candidates: always on the quadric, and they complete the
-    # degenerate (rho == 0) Lagrange branch.
-    half_rab = rab / 2.0
-    consider(half_rab, 0.0)
-    consider(-half_rab, 0.0)
-    candidates += 2
-
-    # Off-axis critical ring at lambda* = -1/a4 (the other degenerate
-    # branch): x is forced, y^2 follows from F(x, y) = 0.
-    x_ring = t * rab_sq / (4.0 * alpha_sq)
-    y_ring_sq = quadric_y_sq(x_ring)
-    if y_ring_sq >= 0.0:
-        consider(x_ring, math.sqrt(y_ring_sq))
-        candidates += 1
-
-    # Generic branch: quartic Equation (14) in the Lagrange multiplier.
-    coeff_a = a2 * a4 * a4 * a5 * a5
-    coeff_b = 2.0 * a2 * a4 * a4 * a5 + 2.0 * a2 * a4 * a5 * a5
-    coeff_c = (
-        a1 * a4 * a4
-        + a2 * a4 * a4
-        + 4.0 * a2 * a4 * a5
-        + a2 * a5 * a5
-        - a3 * a5 * a5
-    )
-    coeff_d = 2.0 * a1 * a4 + 2.0 * a2 * a4 + 2.0 * a2 * a5 - 2.0 * a3 * a5
-    coeff_e = a1 + a2 - a3
-    scale = max(abs(coeff_a), abs(coeff_b), abs(coeff_c), abs(coeff_d), abs(coeff_e))
-    if scale > 0.0:
-        # Bounded by the quartic's degree (at most four real roots), so
-        # this stays O(1) work per decision despite being a Python loop.
-        for lam in solver((coeff_a, coeff_b, coeff_c, coeff_d, coeff_e)):  # domlint: ignore[hot-path-loop]
-            lam = float(lam)
-            if not math.isfinite(lam):
-                raise ArithmeticError("quartic solver produced a non-finite root")
-            denom_x = 1.0 + a5 * lam
-            if abs(denom_x) < _DENOM_EPS:
-                continue  # degenerate branch, handled explicitly above
-            x = t / denom_x
-            # Re-derive y from the quadric itself rather than trusting
-            # rho / (1 + a4*lam): near-degenerate roots (e.g. the double
-            # root at lambda = -1/a4 when rho == 0) would otherwise
-            # yield off-quadric points that underestimate the distance.
-            # Every candidate considered is therefore genuinely on the
-            # quadric, so the minimum can never fall below the true one.
-            y_sq = quadric_y_sq(x)
-            if y_sq < 0.0:
-                continue  # |x| below the vertex: no such quadric point
-            consider(x, math.sqrt(y_sq))
-            candidates += 1
-
-    if obs.ENABLED:
-        obs.incr(names.HYPERBOLA_STATIONARY_CANDIDATES, candidates)
-    if not math.isfinite(best_sq):
-        # Only possible when t/rho/alpha/rab were themselves corrupted:
-        # nan candidates lose every `<` comparison and leave best_sq at
-        # +inf, which would certify any query radius.
-        raise ArithmeticError("non-finite inputs to the boundary-distance search")
-    return unit * math.sqrt(best_sq)
+    distance = _dmin.solve(t, rho, alpha, rab)[0]
+    if not math.isfinite(distance):
+        raise ArithmeticError("the dmin solver returned a non-finite distance")
+    return distance
 
 
 def min_distance_to_boundary(
@@ -231,9 +101,9 @@ def min_distance_to_boundary(
     rab = sa.radius + sb.radius
     if sa.dimension == 1:
         return abs(t + rab / 2.0)
-    if rab <= _BISECTOR_THRESHOLD * frame.alpha:
+    if rab == 0.0:
         return abs(t)
-    return _distance_to_hyperbola_2d(t, rho, frame.alpha, rab)
+    return _solved_dmin(t, rho, frame.alpha, rab)
 
 
 def dominates_with_margin(
@@ -299,12 +169,19 @@ class HyperbolaCriterion(DominanceCriterion):
             if obs.ENABLED:
                 obs.incr(names.HYPERBOLA_VERTEX_1D)
             dmin = abs(t + rab / 2.0)
-        elif rab <= _BISECTOR_THRESHOLD * frame.alpha:
+        elif rab == 0.0:
+            # Point objects: the boundary is the bisector hyperplane.
+            # Any rab > 0, however small, bends it and goes to the
+            # solver: flattening it would overstate dmin by up to rab/2.
             if obs.ENABLED:
                 obs.incr(names.HYPERBOLA_BISECTOR)
             dmin = abs(t)
         else:
             if obs.ENABLED:
                 obs.incr(names.HYPERBOLA_QUARTIC)
-            dmin = _distance_to_hyperbola_2d(t, rho, frame.alpha, rab)
+            dmin = self._curved_dmin(t, rho, frame.alpha, rab)
         return dmin > sq.radius
+
+    def _curved_dmin(self, t: float, rho: float, alpha: float, rab: float) -> float:
+        """Step 1 on a curved row; the paper's figures swap in Eq. (14)."""
+        return _solved_dmin(t, rho, alpha, rab)

@@ -11,7 +11,9 @@ against the numerical oracle).
 Two timing modes are supported:
 
 - ``"scalar"`` (default) — one Python call per triple, the closest
-  analogue of the paper's per-operator measurements;
+  analogue of the paper's per-operator measurements (Hyperbola solves
+  the paper's Equation (14) quartic, see
+  :mod:`repro.experiments.quartic`);
 - ``"batch"`` — the vectorised kernels from :mod:`repro.core.batch`,
   used by the batch-vs-scalar ablation benchmark.
 """
@@ -20,17 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.obs import names
-from repro.core.base import get_criterion
 from repro.core.batch import batch_evaluate
 from repro.data.synthetic import Dataset
 from repro.data.workload import DominanceWorkload
 from repro.exceptions import ExperimentError
 from repro.experiments.config import DOMINANCE_CRITERIA
 from repro.experiments.metrics import binary_metrics, time_callable_stats
+from repro.experiments.quartic import paper_criterion
 from repro.obs.log import get_logger
 
 log = get_logger("experiments.dominance")
@@ -63,15 +63,6 @@ class DominanceMeasurement:
             self.precision,
             self.recall,
         )
-
-
-def _scalar_predictions(criterion_name: str, workload: DominanceWorkload) -> np.ndarray:
-    criterion = get_criterion(criterion_name)
-    return np.fromiter(
-        (criterion.dominates(sa, sb, sq) for sa, sb, sq in workload.triples()),
-        dtype=bool,
-        count=len(workload),
-    )
 
 
 def run_dominance_experiment(
@@ -107,7 +98,7 @@ def run_dominance_experiment(
         before = obs.collect() if obs.ENABLED else None
         with obs.trace(names.dominance_span(name)):
             if timing == "scalar":
-                criterion = get_criterion(name)
+                criterion = paper_criterion(name)
                 triples = list(workload.triples())
 
                 def run_workload() -> None:

@@ -6,7 +6,8 @@ kNN algorithm (:mod:`repro.experiments.incremental`) under every
 (traversal strategy x dominance criterion) combination the
 paper evaluates — DF/HS x {Hyperbola, MinMax, MBR, GP} (Trigonometric
 is excluded exactly as in the paper: it is not correct, so kNN answers
-based on it could miss true neighbours).
+based on it could miss true neighbours).  Hyperbola decides through the
+paper's Equation (14) quartic (:mod:`repro.experiments.quartic`).
 
 Reported per combination, averaged over the queries:
 
@@ -34,6 +35,7 @@ from repro.data.workload import knn_queries
 from repro.exceptions import ExperimentError
 from repro.experiments.config import KNN_CRITERIA, KNN_STRATEGIES
 from repro.experiments.incremental import incremental_knn
+from repro.experiments.quartic import paper_criterion
 from repro.experiments.metrics import mean_and_std
 from repro.index.linear import LinearIndex
 from repro.index.sstree import SSTree
@@ -111,6 +113,7 @@ def run_knn_experiment(
     measurements = []
     for strategy in strategies:
         for criterion in criteria:
+            decider = paper_criterion(criterion)
             before = obs.collect() if obs.ENABLED else None
             samples = []
             precision_sum = 0.0
@@ -121,7 +124,7 @@ def run_knn_experiment(
                 for query, truth in zip(query_spheres, truths):
                     started = time.perf_counter()
                     result = incremental_knn(
-                        tree, query, k, criterion=criterion, strategy=strategy
+                        tree, query, k, criterion=decider, strategy=strategy
                     )
                     samples.append(time.perf_counter() - started)
                     returned = result.key_set()

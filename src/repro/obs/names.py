@@ -27,7 +27,7 @@ the static set first and the patterns second.
 True
 >>> is_known("hyperbola.clls")
 False
->>> is_known(verified_stage("companion"))
+>>> is_known(verified_stage("float64"))
 True
 """
 

@@ -19,16 +19,20 @@ whose uncertainty regions leave the outcome undecided remain
 candidates); a correct-but-unsound criterion refutes less and returns a
 superset, mirroring the kNN precision experiments.
 
-The scan sweeps the n x n pair matrix in column blocks of at most
-:data:`repro.queries.blocks.BLOCK_PAIRS` pairs (column ``b`` holds the
-competitors ``Sa`` of object ``Sb``).  Per block the center gaps are
-computed once; a vectorised MinMax pre-filter refutes what it can, a
-plausibility test (``MinDist(Sa, Sb) <= MaxDist(Sq, Sb)``, self
-excluded) drops pairs that cannot dominate, and for a *correct*
-criterion so does the Hyperbola kernel's center test in RkNN's
-orientation, ``|cq - cb| - |ca - cb| - (ra + rq) > 0`` (pairs within
-:data:`repro.queries.blocks.PAIR_GUARD` of it stay).  The surviving
-pairs queue across blocks and go to one
+The MinMax pre-filter comes first and costs O(n) per query: some
+competitor ``Sa`` dominates ``Sq`` with respect to ``Sb`` under MinMax
+exactly when ``reach[b] + rb < MinDist(Sq, Sb)``, where ``reach`` is
+the index's :meth:`~repro.index.linear.LinearIndex.nearest_reach`
+table (built once per index), and the test is bit for bit the pairwise
+one.  The scan then sweeps the n x n pair matrix in column blocks of at
+most :data:`repro.queries.blocks.BLOCK_PAIRS` pairs (column ``b`` holds
+the competitors ``Sa`` of object ``Sb``), computing center gaps only
+for the columns the pre-filter left open: a plausibility test
+(``MinDist(Sa, Sb) <= MaxDist(Sq, Sb)``, self excluded) drops pairs that
+cannot dominate, and for a *correct* criterion so does the Hyperbola
+kernel's center test in RkNN's orientation, ``|cq - cb| - |ca - cb| -
+(ra + rq) > 0`` (pairs within :data:`repro.queries.blocks.PAIR_GUARD`
+of it stay).  The surviving pairs queue across blocks and go to one
 :func:`repro.core.batch.batch_evaluate` call (paper Section 5.2) per
 ``BLOCK_PAIRS`` pending pairs, OR-reduced per column.  Criteria without
 a batch kernel (``cascade``, ``verified``) decide the queued pairs one
@@ -39,11 +43,12 @@ Resilience: membership here is refute-only, so every degradation is a
 scalar per-pair pass (one absorbed fault); a raising criterion on one
 pair keeps that pair's candidate (absorbed fault).  Each block charges
 one candidate per object before its pairs are built, so an exhausted
-:class:`repro.resilience.Budget` keeps every not-yet-examined object,
-exactly as an object-at-a-time scan would, and returns a
-:class:`repro.resilience.PartialResult` — the candidate set is then a
-superset of the exact one, never missing a true reverse-NN.  With
-``overlay`` deleting every object, the answer is empty.
+:class:`repro.resilience.Budget` keeps every not-yet-examined object
+(even one the pre-filter would refute), exactly as an object-at-a-time
+scan would, and returns a :class:`repro.resilience.PartialResult` —
+the candidate set is then a superset of the exact one, never missing a
+true reverse-NN.  With ``overlay`` deleting every object, the answer is
+empty.
 """
 
 from __future__ import annotations
@@ -164,6 +169,10 @@ def _run_rnn(
     examined = n
     gaps_q = np.linalg.norm(centers - query.center, axis=1)
     guard = pair_guard(gaps_q, radii, rq)
+    # Vectorised MinMax pre-filter (correct, so pruning is safe): some Sa
+    # has MaxDist(Sa, Sb) < MinDist(Sq, Sb) iff the nearest one does.
+    min_dist_q = np.maximum(gaps_q - rq - radii, 0.0)
+    prefiltered = dataset.nearest_reach() + radii < min_dist_q
     pending = PendingPairs()  # (competitor, object) pairs for the kernel
     for lo, hi in blocks(n):
         if budget is not None:
@@ -173,28 +182,20 @@ def _run_rnn(
                 # so it stays a candidate — the answer set only widens.
                 report.mark_incomplete(budget.exhausted() or "deadline")
                 examined = hi = granted
-        own = np.arange(lo, hi)
-        columns = own - lo
-        rb = radii[lo:hi]
-        gaps = np.linalg.norm(centers[:, None, :] - centers[None, lo:hi], axis=2)
-        # Vectorised MinMax pre-filter (correct, so pruning is safe):
-        # Sa dominates Sq wrt Sb when MaxDist(Sa, Sb) < MinDist(Sq, Sb).
-        min_dist_q = np.maximum(gaps_q[lo:hi] - rq - rb, 0.0)
-        max_dists = gaps + radii[:, None] + rb
-        max_dists[own, columns] = np.inf  # an object never competes against itself
-        block = refuted[lo:hi]  # a view: refuting a column marks refuted
-        block |= np.any(max_dists < min_dist_q, axis=0)
+        refuted[lo:hi] = prefiltered[lo:hi]
         # Exact pass over the plausible pairs of unrefuted columns only.
         # Dominance of Sq wrt Sb needs MinDist(Sa, Sb) <= MaxDist(Sq, Sb)
         # (a necessary condition), so anything farther can be skipped.
-        plausible = gaps - radii[:, None] - rb <= gaps_q[lo:hi] + rq + rb
-        plausible[own, columns] = False
-        plausible[:, block] = False
+        own = lo + np.flatnonzero(~prefiltered[lo:hi])
+        rb = radii[own]
+        gaps = np.linalg.norm(centers[:, None, :] - centers[None, own], axis=2)
+        plausible = gaps - radii[:, None] - rb <= gaps_q[own] + rq + rb
+        plausible[own, np.arange(own.size)] = False  # never against itself
         if criterion.is_correct:
             # For a correct criterion so is the kernel's center test in
             # RkNN's orientation, |cq - cb| - |ca - cb| - (ra + rq) > 0;
             # pairs within the guard of it go to the criterion.
-            inside = gaps_q[lo:hi] - gaps - (radii[:, None] + rq) > -guard
+            inside = gaps_q[own] - gaps - (radii[:, None] + rq) > -guard
             if obs.ENABLED:
                 obs.incr(
                     names.FLAT_CENTER_RULED_OUT,
@@ -203,7 +204,7 @@ def _run_rnn(
             plausible &= inside
         # Column-major: each object's competitors, in dataset order.
         cols, rows = np.nonzero(plausible.T)
-        pending.add(rows, lo + cols)
+        pending.add(rows, own[cols])
         if pending.size < BLOCK_PAIRS and hi < n and report.complete:
             continue  # flush at BLOCK_PAIRS pending, the last block or a cut
         competitors, objects = pending.take()

@@ -6,8 +6,9 @@ subsystem never lets that happen unnoticed:
 
 - :mod:`repro.robust.decision` — the tri-state
   :class:`~repro.robust.decision.Decision` / ``Verdict`` vocabulary;
-- :mod:`repro.robust.ladder` — the escalation ladder (float64
-  closed-form → companion matrix → ``np.longdouble`` → exact rational);
+- :mod:`repro.robust.ladder` — the escalation ladder (the float64
+  ``dmin`` solver → the same solver in ``np.longdouble`` → exact
+  rational);
 - :mod:`repro.robust.exact` — the :class:`fractions.Fraction` arbiter
   settling borderline signs with integer arithmetic;
 - :mod:`repro.robust.verified` — the registered ``"verified"``

@@ -5,10 +5,19 @@ numerical kernel does — return garbage, overflow, blow up — a certified
 verdict is either right or honestly ``UNCERTAIN``.  This module makes
 that claim testable by corrupting the kernels at their seams:
 
+``"dmin"``
+    The served ``dmin`` solver of :mod:`repro.core.dmin`
+    (:func:`~repro.core.dmin.solve` and
+    :func:`~repro.core.dmin.solve_batch`): the scalar Hyperbola kernel,
+    the batch kernel's band rows and both float rungs of the certified
+    ladder resolve it at call time.  The scalar solver's ``(dmin,
+    error)`` pair is corrupted as a whole.
 ``"quartic"``
     The three root solvers in :mod:`repro.geometry.quartic`
     (:func:`~repro.geometry.quartic.solve_quartic_real`, its
-    closed-form and batch variants).
+    closed-form and batch variants), which only the paper's Equation
+    (14) search in :mod:`repro.experiments.quartic` still calls: no
+    served decision reaches this seam.
 ``"frame"``
     :meth:`repro.geometry.transform.FocalFrame.reduce`, the O(d)
     reduction feeding ``(t, rho)`` into the 2-D kernel.
@@ -101,7 +110,7 @@ Injection is **deterministic**: the seam fires on every ``every``-th
 call (counted from the first), so a failing test replays exactly.  Use
 as a context manager::
 
-    with faults.inject("quartic", "nan"):
+    with faults.inject("dmin", "nan"):
         decision = criterion.decide(sa, sb, sq)
 
 Fault activations are counted per seam/mode through :mod:`repro.obs`
@@ -123,6 +132,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import names
+from repro.core import dmin as _dmin
 from repro.exceptions import ReproError
 from repro.geometry import distance as _distance
 from repro.geometry import quartic as _quartic
@@ -132,6 +142,7 @@ from repro.geometry.transform import FocalFrame
 __all__ = ["FaultInjected", "InjectedFault", "inject", "SEAMS", "MODES"]
 
 SEAMS = (
+    "dmin",
     "quartic",
     "frame",
     "distance",
@@ -240,6 +251,40 @@ def _check(seam: str, mode: str, every: int) -> None:
 # wrappers for the duration of the ``with`` block and restores the
 # originals in ``finally`` — injection can never leak out of the block.
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _patch_dmin(fault: InjectedFault) -> "Iterator[None]":
+    original_solve = _dmin.solve
+    original_batch = _dmin.solve_batch
+
+    def corrupted_solve(
+        t: float, rho: float, alpha: float, rab: float
+    ) -> "tuple[float, float]":
+        pair = original_solve(t, rho, alpha, rab)
+        if not fault.fires():
+            return pair
+        if fault.mode == "raise":
+            raise FaultInjected("injected fault in dmin.solve")
+        return fault.corrupt_pair(pair)
+
+    def corrupted_batch(
+        t: np.ndarray, rho: np.ndarray, alpha: np.ndarray, rab: np.ndarray
+    ) -> np.ndarray:
+        dmin = original_batch(t, rho, alpha, rab)
+        if not fault.fires():
+            return dmin
+        if fault.mode == "raise":
+            raise FaultInjected("injected fault in dmin.solve_batch")
+        return fault.corrupt_array(dmin)
+
+    try:
+        _dmin.solve = corrupted_solve
+        _dmin.solve_batch = corrupted_batch
+        yield
+    finally:
+        _dmin.solve = original_solve
+        _dmin.solve_batch = original_batch
+
+
 @contextlib.contextmanager
 def _patch_quartic(fault: InjectedFault) -> "Iterator[None]":
     originals = {
@@ -653,6 +698,7 @@ def _patch_worker_kill(fault: InjectedFault) -> "Iterator[None]":
 
 
 _PATCHERS: "dict[str, Callable[[InjectedFault], contextlib.AbstractContextManager[None]]]" = {
+    "dmin": _patch_dmin,
     "quartic": _patch_quartic,
     "frame": _patch_frame,
     "distance": _patch_distance,

@@ -7,46 +7,50 @@ either **fails** (non-finite intermediate, solver exception — e.g.
 under injected faults) or comes back **undecided** (margin inside the
 stage's error bound):
 
-``closed``
-    Float64 kernel with the Ferrari closed-form quartic solver — the
-    paper's O(1) root extraction, cheapest and least accurate.
-``companion``
-    Float64 kernel with the companion-matrix solver (the repository's
-    default production solver).
+``float64``
+    Float64 kernel with the ``dmin`` solver of :mod:`repro.core.dmin`
+    (the one the plain kernels use), certified from the solver's own
+    error bound plus a relative allowance for the focal reduction.
 ``longdouble``
     Full recomputation in :class:`numpy.longdouble` (80-bit extended on
-    x86), seeded with companion-matrix roots polished by Newton steps
-    in extended precision.
+    x86), the same solver run on extended-precision scalars.
 ``exact``
     The :mod:`repro.robust.exact` rational arbiter: error bound zero,
     cannot fail, cannot be reached by the fault-injection seams.
 
-Stage error bounds are *engineering* tolerances — deliberately
-conservative multiples of the relevant length scale, validated
-empirically by the boundary-fuzz suite (a certified float verdict must
-always agree with the exact arbiter).  Certification is therefore
-sound-by-construction at the ``exact`` rung and sound-by-measurement at
-the float rungs.
+The ladder used to open with two float64 rungs that solved the paper's
+Equation (14) quartic (Ferrari's closed form, then the companion
+matrix).  On nearly flat hyperbolas both certified wrong verdicts, with
+margins far outside their bounds, because the quartic's ``dmin`` itself
+was wrong; the solver's float64 rung is both cheaper and right there,
+so they are gone.
+
+A float stage's error bound is the solver's own bound on ``dmin`` plus
+an *engineering* tolerance for the distances and the focal reduction:
+a deliberately conservative multiple of the relevant length scale,
+validated empirically by the boundary-fuzz and nearly-flat suites (a
+certified float verdict must always agree with the exact arbiter).
+Certification is therefore sound-by-construction at the ``exact`` rung
+and sound-by-measurement at the float rungs.
 
 The float stages resolve their numerical kernels (distance, focal
-reduction, quartic roots) through module attributes at call time, so
-the fault-injection harness in :mod:`repro.robust.faults` can intercept
-them; the exact stage shares none of those seams.
+reduction, the ``dmin`` solver) through module attributes at call time,
+so the fault-injection harness in :mod:`repro.robust.faults` can
+intercept them; the exact stage shares none of those seams.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.obs import names
-from repro.core import hyperbola as _hyperbola
+from repro.core import dmin as _dmin
 from repro.exceptions import GeometryError, ReproError
 from repro.geometry import distance as _distance
-from repro.geometry import quartic as _quartic
 from repro.geometry import transform as _transform
 from repro.geometry.hypersphere import Hypersphere
 from repro.resilience.budget import current as _current_budget
@@ -58,11 +62,9 @@ __all__ = ["decide", "DEFAULT_LADDER", "FLOAT_LADDER", "StageOutcome"]
 #: Result of a successful stage: (dominates, margin, certified bound).
 StageOutcome = "tuple[bool, float, float]"
 
-# Relative error budgets per stage.  The closed-form Ferrari cascade
-# loses more digits than the companion matrix (resolvent + two nested
-# square roots), hence the wider bound.
-_CLOSED_REL = 1e-9
-_COMPANION_REL = 1e-10
+# Relative error budgets per stage, on top of the solver's own bound:
+# they cover the rounding of the distances and the focal reduction.
+_FLOAT64_REL = 1e-10
 # On platforms where longdouble is a float64 alias the extended stage
 # can only certify what plain float64 can.
 _LONGDOUBLE_REL = 1e-13 if float(np.finfo(np.longdouble).eps) < 1e-17 else 1e-11
@@ -97,15 +99,12 @@ def _classify(margin: float, bound: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Float64 stages (closed-form and companion-matrix quartic solvers)
+# Float64 stage
 # ----------------------------------------------------------------------
-def _float64_stage(
-    sa: Hypersphere,
-    sb: Hypersphere,
-    sq: Hypersphere,
-    solver: Callable[[Sequence[float]], np.ndarray],
-    rel: float,
+def _stage_float64(
+    sa: Hypersphere, sb: Hypersphere, sq: Hypersphere
 ) -> "tuple[bool, float, float]":
+    rel = _FLOAT64_REL
     dist = _distance.dist  # resolved at call time: fault-injection seam
     rab = float(sa.radius) + float(sb.radius)
     gap = dist(sa.center, sb.center)
@@ -134,34 +133,14 @@ def _float64_stage(
     extra = 0.0
     if sa.dimension == 1:
         dmin = abs(t + rab / 2.0)
-    elif rab <= _hyperbola._BISECTOR_THRESHOLD * alpha:
-        # The bisector shortcut approximates the hyperbola by its
-        # asymptotic hyperplane; the vertex sits rab/2 away from it, so
-        # widen the certification bound by the full approximation error.
-        dmin = abs(t)
-        extra = rab
+    elif rab == 0.0:
+        dmin = abs(t)  # point objects: the bisector hyperplane, exactly
     else:
-        dmin = _hyperbola._distance_to_hyperbola_2d(t, rho, alpha, rab, solver=solver)
-    _require_finite(dmin)
+        dmin, extra = _dmin.solve(t, rho, alpha, rab)  # the "dmin" seam
+    _require_finite(dmin, extra)
     margin = dmin - rq
     bound = rel * (alpha + abs(t) + rho + dmin + rq) + extra
     return _classify(margin, bound), margin, bound
-
-
-def _stage_closed(
-    sa: Hypersphere, sb: Hypersphere, sq: Hypersphere
-) -> "tuple[bool, float, float]":
-    return _float64_stage(
-        sa, sb, sq, lambda c: _quartic.solve_quartic_real_closed(c), _CLOSED_REL
-    )
-
-
-def _stage_companion(
-    sa: Hypersphere, sb: Hypersphere, sq: Hypersphere
-) -> "tuple[bool, float, float]":
-    return _float64_stage(
-        sa, sb, sq, lambda c: _quartic.solve_quartic_real(c), _COMPANION_REL
-    )
 
 
 # ----------------------------------------------------------------------
@@ -174,9 +153,8 @@ def _stage_longdouble(
 
     Distances and the focal reduction are recomputed from scratch in
     extended precision (bypassing the float64 kernels and their seams);
-    quartic roots are seeded from the float64 companion solver and
-    polished with Newton iterations in extended precision, alongside
-    the closed-form vertex and ring candidates.
+    ``dmin`` comes from the float64 rung's solver run on
+    extended-precision scalars (the ``"dmin"`` seam).
     """
     ld = np.longdouble
     rel = _LONGDOUBLE_REL
@@ -212,104 +190,15 @@ def _stage_longdouble(
     extra = 0.0
     if sa.dimension == 1:
         dmin = abs(t + rab / ld(2.0))
-    elif float(rab) <= _hyperbola._BISECTOR_THRESHOLD * float(alpha):
+    elif rab == 0.0:
         dmin = abs(t)
-        extra = float(rab)
     else:
-        dmin = _longdouble_dmin(t, rho, alpha, rab)
-    _require_finite(float(dmin))
+        dmin, error = _dmin.solve(t, rho, alpha, rab)  # the "dmin" seam
+        extra = float(error)
+    _require_finite(float(dmin), extra)
     margin = float(dmin - rq)
     bound = rel * float(alpha + abs(t) + rho + dmin + rq) + extra
     return _classify(margin, bound), margin, bound
-
-
-def _longdouble_dmin(
-    t: "np.floating[Any]",
-    rho: "np.floating[Any]",
-    alpha: "np.floating[Any]",
-    rab: "np.floating[Any]",
-) -> "np.floating[Any]":
-    """Extended-precision variant of the kernel's candidate search.
-
-    Runs in units of ``alpha``, as the float64 kernel does, so the
-    float64 seed roots do not lose the leading coefficient on small or
-    large scenes.
-    """
-    ld = np.longdouble
-    unit = alpha
-    t, rho, rab, alpha = t / unit, rho / unit, rab / unit, ld(1.0)
-    rab_sq = rab * rab
-    alpha_sq = alpha * alpha
-    a1 = (ld(16.0) * alpha_sq - ld(4.0) * rab_sq) * t * t
-    a2 = rab_sq * rab_sq - ld(4.0) * rab_sq * alpha_sq
-    a3 = ld(4.0) * rab_sq * rho * rho
-    a4 = ld(4.0) * rab_sq
-    a5 = ld(4.0) * rab_sq - ld(16.0) * alpha_sq
-
-    coeffs = (
-        a2 * a4 * a4 * a5 * a5,
-        ld(2.0) * a2 * a4 * a4 * a5 + ld(2.0) * a2 * a4 * a5 * a5,
-        a1 * a4 * a4 + a2 * a4 * a4 + ld(4.0) * a2 * a4 * a5 + a2 * a5 * a5 - a3 * a5 * a5,
-        ld(2.0) * a1 * a4 + ld(2.0) * a2 * a4 + ld(2.0) * a2 * a5 - ld(2.0) * a3 * a5,
-        a1 + a2 - a3,
-    )
-
-    def quadric_y_sq(x: "np.floating[Any]") -> "np.floating[Any]":
-        return (
-            (ld(16.0) * alpha_sq - ld(4.0) * rab_sq) * x * x / (ld(4.0) * rab_sq)
-            - alpha_sq
-            + rab_sq / ld(4.0)
-        )
-
-    best_sq = ld(np.inf)
-
-    def consider(x: "np.floating[Any]", y: "np.floating[Any]") -> None:
-        nonlocal best_sq
-        dx = t - x
-        dy = rho - y
-        candidate = dx * dx + dy * dy
-        if candidate < best_sq:
-            best_sq = candidate
-
-    half_rab = rab / ld(2.0)
-    consider(half_rab, ld(0.0))
-    consider(-half_rab, ld(0.0))
-    x_ring = t * rab_sq / (ld(4.0) * alpha_sq)
-    y_ring_sq = quadric_y_sq(x_ring)
-    if y_ring_sq >= 0.0:
-        consider(x_ring, np.sqrt(y_ring_sq))
-
-    # Seed roots from the float64 companion solver (a fault-injection
-    # seam: corrupted roots either fail the finiteness guard here or
-    # polish back onto the true quartic), then Newton-polish them in
-    # extended precision.
-    seeds = _quartic.solve_quartic_real(tuple(float(c) for c in coeffs))
-    derivative = tuple(ld(4 - i) * c for i, c in enumerate(coeffs[:4]))
-    for seed in seeds:
-        lam = ld(float(seed))
-        if not np.isfinite(lam):
-            raise ArithmeticError("quartic solver produced a non-finite root")
-        for _ in range(4):
-            value = ((((coeffs[0] * lam + coeffs[1]) * lam) + coeffs[2]) * lam + coeffs[3]) * lam + coeffs[4]
-            slope = (((derivative[0] * lam + derivative[1]) * lam) + derivative[2]) * lam + derivative[3]
-            if slope == 0.0:
-                break
-            step = value / slope
-            lam = lam - step
-            if not np.isfinite(lam):
-                raise ArithmeticError("Newton polishing diverged")
-        denom_x = ld(1.0) + a5 * lam
-        if abs(float(denom_x)) < _hyperbola._DENOM_EPS:
-            continue
-        x = t / denom_x
-        y_sq = quadric_y_sq(x)
-        if y_sq < 0.0:
-            continue
-        consider(x, np.sqrt(y_sq))
-
-    if not np.isfinite(best_sq):
-        raise ArithmeticError("non-finite inputs to the boundary-distance search")
-    return unit * np.sqrt(best_sq)
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +214,7 @@ def _stage_exact(
 
 #: The full ladder, cheapest stage first.
 DEFAULT_LADDER: "tuple[tuple[str, Callable], ...]" = (
-    ("closed", _stage_closed),
-    ("companion", _stage_companion),
+    ("float64", _stage_float64),
     ("longdouble", _stage_longdouble),
     ("exact", _stage_exact),
 )

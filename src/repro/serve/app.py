@@ -31,11 +31,13 @@ degradation surface only as 206 or 429, never as 5xx**
 (``tests/test_serve_chaos.py`` drives this across every serve seam ×
 mode of :mod:`repro.robust.faults`).
 
-Queries execute on a thread-pool executor sized to the admission
-concurrency bound, each under ``contextvars.copy_context()`` so the
-active obs registry, budget scope and event log all propagate into the
-worker thread.  The ``"handler"`` fault seam patches
-:func:`_handler_hook` to inject slow or exploding handlers.
+Queries and mutations execute on a thread-pool executor sized to the
+admission concurrency bound, each under ``contextvars.copy_context()``
+so the active obs registry, budget scope and event log all propagate
+into the executor thread (:meth:`ServeApp._run_sync`; a pooled worker,
+which serves one request at a time, runs them on its frame thread
+instead, see :mod:`repro.serve.worker`).  The ``"handler"`` fault seam
+patches :func:`_handler_hook` to inject slow or exploding handlers.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Mapping
+from typing import Any, Awaitable, Callable, Mapping, TypeVar
 
 from repro import obs
 from repro.core.base import available_criteria
@@ -88,6 +90,8 @@ from repro.stream.engine import StreamingIndex
 __all__ = ["IndexState", "ServeApp", "start_server"]
 
 QUERY_KINDS = ("knn", "rknn", "dominating")
+
+_T = TypeVar("_T")
 
 #: Ceiling on one injected handler delay, seconds — keeps a poisoned
 #: hook from parking an executor thread indefinitely.
@@ -578,14 +582,7 @@ class ServeApp:
 
         try:
             async with self.admission.slot():
-                loop = asyncio.get_running_loop()
-                # Fault scopes and deadline travel in contextvars; the
-                # mutation must run under a copy or an injected WAL seam
-                # active for this request would not fire in the worker.
-                context = contextvars.copy_context()
-                seq = await loop.run_in_executor(
-                    self._executor, context.run, mutate_sync
-                )
+                seq = await self._run_sync(mutate_sync)
         except (StreamError, OSError, ArithmeticError) as error:
             # The append (or its fsync) failed — including an injected
             # WAL-seam explosion: nothing was acked, and saying so
@@ -663,13 +660,21 @@ class ServeApp:
                     return _absorbed_handler_fault(error)
 
         async def attempt() -> Any:
-            loop = asyncio.get_running_loop()
-            context = contextvars.copy_context()
-            return await loop.run_in_executor(
-                self._executor, context.run, attempt_sync
-            )
+            return await self._run_sync(attempt_sync)
 
         return attempt
+
+    async def _run_sync(self, work: "Callable[[], _T]") -> "_T":
+        """Run one query attempt or mutation on an executor thread.
+
+        Budgets, deadlines and fault scopes travel in contextvars, so
+        *work* runs under a copy of the caller's context: otherwise an
+        injected seam active for this request would not fire in the
+        thread, and the budget would not charge.
+        """
+        loop = asyncio.get_running_loop()
+        context = contextvars.copy_context()
+        return await loop.run_in_executor(self._executor, context.run, work)
 
     def _settle_breaker(self, state: IndexState, outcome: Any) -> None:
         """Feed the request's index-health signal to the breaker.

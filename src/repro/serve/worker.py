@@ -14,7 +14,12 @@ The child side is deliberately a plain synchronous loop: the
 supervisor dispatches at most one request at a time per worker (the
 pipe is the queue), so there is nothing to overlap and nothing for the
 async-blocking lint rules to police.  Each request frame is executed
-by driving the app's own async ``handle`` on a private event loop.
+by driving the app's own async ``handle`` on a private event loop, and
+the query attempt or mutation it admits runs right there, on the
+thread that read the frame, under a copy of the request's context
+(:class:`_FrameThreadApp`).  No executor thread is started: a hop to
+one and back would only add latency to a worker that never has a
+second request to run meanwhile.
 
 Frame vocabulary (all objects carry the caller's ``id`` back):
 
@@ -41,10 +46,11 @@ worker can never race a wedged predecessor for the log.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import os
 import sys
-from typing import Any, BinaryIO, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Mapping, Sequence, TypeVar
 
 from repro import obs
 from repro.exceptions import ProtocolError, ReproError
@@ -60,6 +66,20 @@ from repro.serve.tenancy import TenantPolicy, default_classes
 
 __all__ = ["build_worker_app", "main", "serve_frames"]
 
+_T = TypeVar("_T")
+
+
+class _FrameThreadApp(ServeApp):
+    """A :class:`ServeApp` that runs each request on the calling thread.
+
+    Budgets, deadlines and fault scopes still travel in a copy of the
+    request's context, exactly as across the single-process server's
+    executor hop; the executor itself is never used.
+    """
+
+    async def _run_sync(self, work: "Callable[[], _T]") -> "_T":
+        return contextvars.copy_context().run(work)
+
 
 def build_worker_app(config: "Mapping[str, Any]") -> ServeApp:
     """One :class:`ServeApp` from the supervisor's JSON worker config.
@@ -71,7 +91,7 @@ def build_worker_app(config: "Mapping[str, Any]") -> ServeApp:
     reports the index unhealthy in its handshake.
     """
     exclusive = config.get("role") == "mutation"
-    app = ServeApp(
+    app = _FrameThreadApp(
         policy=TenantPolicy(
             default_classes(
                 deadline_scale=float(config.get("deadline_scale", 1.0))

@@ -9,8 +9,9 @@ rename and the WAL truncate re-applies the whole log over the new
 snapshot without harm).
 
 Query-time merge semantics (consumed by ``overlay=`` keyword arguments
-on :func:`repro.queries.knn.knn`, :func:`repro.queries.rknn.rknn` and
-:func:`repro.queries.dominating.top_dominating`):
+on :func:`repro.queries.knn.knn_query`,
+:func:`repro.queries.rknn.rnn_candidates` and
+:func:`repro.queries.dominating.top_k_dominating`):
 
 - base-index entries whose key is *shadowed* (tombstoned, or re-inserted
   with new geometry) are excluded before dominance decisions;

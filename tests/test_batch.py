@@ -217,7 +217,7 @@ def reduced(ca, cb, cq, ra, rb):
 
 
 def all_rows_quartic(*arrays):
-    """The Hyperbola kernel with every curved row solving the quartic."""
+    """The Hyperbola kernel with every curved row going to the solver."""
 
     def unbounded(t, rho, alpha, rab):
         return np.full_like(t, -np.inf), np.full_like(t, np.inf), np.zeros_like(t)

@@ -31,7 +31,12 @@ from repro.queries.rknn import rnn_candidates
 from repro.resilience import Budget, PartialResult, scope
 from repro.robust import faults
 
-QUERY_SEAMS = ("quartic", "frame", "distance", "index")
+#: Every seam a query-layer fault can corrupt.  Served decisions no
+#: longer solve the Equation (14) quartic, so its seam never fires
+#: during a query; the invariant must still hold under it.
+QUERY_SEAMS = ("dmin", "quartic", "frame", "distance", "index")
+#: The seams a served kNN query reaches.
+KNN_SEAMS = ("dmin", "frame", "distance", "index")
 N, DIMENSION, K = 130, 3, 8
 GENEROUS = dict(max_candidates=10**9, max_escalations=10**9, deadline_s=3600.0)
 
@@ -51,9 +56,9 @@ def queries(dataset, tree):
     """Three queries whose kNN phase 2 reaches the Hyperbola kernel.
 
     Most queries settle every candidate by MinMax (Lemma 9) or a
-    Hyperbola fast path, which would leave the quartic and frame seams
+    Hyperbola fast path, which would leave the dmin and frame seams
     idle and the invariant unchecked for them.  These are the first
-    three of a seeded stream whose clean run solves a quartic.
+    three of a seeded stream whose clean run reaches the dmin solver.
     """
     picked = []
     for query in knn_queries(dataset, count=60, seed=23):
@@ -69,11 +74,11 @@ def queries(dataset, tree):
 
 @pytest.fixture(scope="module")
 def flat_queries(dataset):
-    """Two queries whose RkNN and dominating sweeps solve quartics.
+    """Two queries whose RkNN and dominating sweeps reach the dmin solver.
 
     A query far from the data settles every pair on a fast path, which
-    would leave the quartic seam idle.  These are the first two of a
-    seeded stream whose clean runs of both kinds solve a quartic.
+    would leave the dmin seam idle.  These are the first two of a
+    seeded stream whose clean runs of both kinds reach the solver.
     """
     items = list(dataset.items())
     picked = []
@@ -91,7 +96,7 @@ def flat_queries(dataset):
             picked.append(query)
         if len(picked) == 2:
             return picked
-    raise AssertionError("no query reaches the quartic in both flat scans")
+    raise AssertionError("no query reaches the dmin solver in both flat scans")
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +143,7 @@ class TestQuerySeamInvariant:
                 f"{sorted(result.key_set() ^ clean.key_set())}"
             )
 
-    @pytest.mark.parametrize("seam", QUERY_SEAMS)
+    @pytest.mark.parametrize("seam", KNN_SEAMS)
     def test_raising_kernels_are_tallied_as_absorbed(self, tree, queries, seam):
         # With the plain criterion there is no escalation ladder to hide
         # behind: every explosion must reach a query-layer guard and be
@@ -176,14 +181,14 @@ class TestQuerySeamInvariant:
         absorbed = 0
         for query in flat_queries:
             clean = rnn_candidates(items, query)
-            with faults.inject("quartic", "raise", every=2) as fault:
+            with faults.inject("dmin", "raise", every=2) as fault:
                 with scope(Budget(**GENEROUS)):
                     faulted = rnn_candidates(items, query)
             assert faulted.complete
             assert set(clean) <= set(faulted)
             hits += fault.hits
             absorbed += faulted.report.absorbed_faults
-        assert hits > 0, "the quartic seam never fired during RkNN"
+        assert hits > 0, "the dmin seam never fired during RkNN"
         assert absorbed > 0
 
     def test_raising_kernel_only_undercounts_dominance_scores(
@@ -196,7 +201,7 @@ class TestQuerySeamInvariant:
         absorbed = 0
         for query in flat_queries:
             clean = dominance_scores(items, query)
-            with faults.inject("quartic", "raise", every=2) as fault:
+            with faults.inject("dmin", "raise", every=2) as fault:
                 with scope(Budget(**GENEROUS)):
                     faulted = dominance_scores(items, query)
             assert faulted.complete
@@ -206,7 +211,7 @@ class TestQuerySeamInvariant:
             )
             hits += fault.hits
             absorbed += faulted.report.absorbed_faults
-        assert hits > 0, "the quartic seam never fired during dominating"
+        assert hits > 0, "the dmin seam never fired during dominating"
         assert absorbed > 0
 
 
@@ -280,7 +285,7 @@ class TestCombinedPressure:
     def test_exhausted_budget_with_raising_criterion_never_raises(
         self, tree, queries
     ):
-        with faults.inject("quartic", "raise"):
+        with faults.inject("dmin", "raise"):
             with scope(Budget(max_candidates=25)):
                 result = knn_query(tree, queries[0], K, criterion="verified")
         assert isinstance(result, PartialResult)

@@ -153,12 +153,12 @@ class TestGracefulDegradation:
     @pytest.mark.parametrize("mode", ["nan", "overflow", "raise"])
     def test_truncated_ladder_goes_uncertain_not_wrong(self, mode, rng):
         # Without the exact rung a hard fault on every float stage's
-        # quartic solver leaves UNCERTAIN (with a conservative
+        # dmin solver leaves UNCERTAIN (with a conservative
         # fallback), never a wrong certified verdict.
         criterion = VerifiedHyperbola(ladder=FLOAT_LADDER)
         for sa, sb, sq in _triples(rng, 25):
             truth = exact_dominates(sa, sb, sq)
-            with faults.inject("quartic", mode):
+            with faults.inject("dmin", mode):
                 decision = criterion.decide(sa, sb, sq)
             if decision.certified:
                 assert decision.as_bool() == truth, (mode, decision)
@@ -174,9 +174,9 @@ class TestGracefulDegradation:
         checked = 0
         for sa, sb, sq in _triples(rng, 40):
             clean = criterion.decide(sa, sb, sq)
-            if clean.stage not in ("closed", "companion"):
+            if clean.stage != "float64":
                 continue
-            with faults.inject("quartic", "perturb", magnitude=1e-12):
+            with faults.inject("dmin", "perturb", magnitude=1e-12):
                 with faults.inject("distance", "perturb", magnitude=1e-12):
                     faulted = criterion.decide(sa, sb, sq)
             assert faulted.verdict is clean.verdict
@@ -184,13 +184,13 @@ class TestGracefulDegradation:
         assert checked > 10
 
     def test_plain_hyperbola_fails_loudly_not_wrongly_on_nan(self):
-        # The non-certified kernel's own regression: a nan root raises
+        # The non-certified kernel's own regression: a nan dmin raises
         # instead of silently inflating the boundary distance.
         criterion = HyperbolaCriterion()
         sa = Hypersphere([0.0, 0.0], 1.0)
         sb = Hypersphere([10.0, 0.0], 1.0)
         sq = Hypersphere([-2.0, 0.0], 0.5)
-        with faults.inject("quartic", "nan"):
+        with faults.inject("dmin", "nan"):
             with pytest.raises(ArithmeticError):
                 criterion.dominates(sa, sb, sq)
 
@@ -200,9 +200,9 @@ class TestGracefulDegradation:
         sb = Hypersphere([10.0, 0.0], 1.0)
         sq = Hypersphere([-2.0, 0.0], 0.5)
         with obs.enabled_scope(True), obs.scope():
-            with faults.inject("quartic", "raise"):
+            with faults.inject("dmin", "raise"):
                 criterion.dominates(sa, sb, sq)
             counters = obs.collect()["counters"]
-        assert counters.get("verified.stage.closed.failed", 0) == 1
-        assert counters.get("verified.stage.companion.failed", 0) == 1
-        assert counters.get("faults.quartic.raise", 0) >= 2
+        assert counters.get("verified.stage.float64.failed", 0) == 1
+        assert counters.get("verified.stage.longdouble.failed", 0) == 1
+        assert counters.get("faults.dmin.raise", 0) >= 2

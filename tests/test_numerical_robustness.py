@@ -153,7 +153,7 @@ class TestDegenerateShapes:
                 assert_decisive_agreement(sa, sb, sq)
 
     def test_nearly_degenerate_radii(self):
-        """rab tiny but nonzero: the bisector threshold path."""
+        """rab tiny but nonzero: the solver, on a boundary flat to 1e-300."""
         sa = Hypersphere([0.0, 0.0], 1e-300)
         sb = Hypersphere([10.0, 0.0], 1e-300)
         assert HYPERBOLA.dominates(sa, sb, Hypersphere([-1.0, 0.0], 1.0))

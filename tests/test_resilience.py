@@ -459,7 +459,7 @@ class TestLadderEscalationSeam:
         # With every float stage blown up, only the exact arbiter can
         # certify — and reaching it is an escalation the budget denies.
         denied = 0
-        with faults.inject("quartic", "raise"):
+        with faults.inject("dmin", "raise"):
             for triple in self._quartic_bound_triples():
                 free = decide(*triple)
                 with scope(Budget(max_escalations=0)):
@@ -475,7 +475,7 @@ class TestLadderEscalationSeam:
         assert denied > 0
 
     def test_generous_escalation_budget_certifies(self):
-        with faults.inject("quartic", "raise"):
+        with faults.inject("dmin", "raise"):
             for triple in self._quartic_bound_triples(20):
                 with scope(Budget(max_escalations=len(DEFAULT_LADDER))):
                     capped = decide(*triple)
@@ -483,7 +483,7 @@ class TestLadderEscalationSeam:
 
     def test_verified_criterion_counts_denied_escalations(self):
         criterion = VerifiedHyperbola()
-        with faults.inject("quartic", "raise"):
+        with faults.inject("dmin", "raise"):
             with scope(Budget(max_escalations=0)):
                 for triple in self._quartic_bound_triples(30):
                     criterion.dominates(*triple)

@@ -65,13 +65,13 @@ class TestLadder:
     def test_easy_case_decided_by_first_stage(self):
         decision = decide(SA, SB, SQ)
         assert decision.verdict is Verdict.TRUE
-        assert decision.stage == "closed"
+        assert decision.stage == "float64"
         assert decision.margin > decision.bound > 0.0
 
     def test_clear_negative_decided_cheaply(self):
         decision = decide(SB, SA, SQ)  # roles swapped: clearly not dominating
         assert decision.verdict is Verdict.FALSE
-        assert decision.stage == "closed"
+        assert decision.stage == "float64"
         assert decision.margin < 0.0
 
     def test_boundary_case_escalates_to_exact(self):
@@ -103,7 +103,7 @@ class TestLadder:
         with obs.enabled_scope(True), obs.scope():
             decide(SA, SB, _boundary_query(1.0))
             counters = obs.collect()["counters"]
-        assert counters.get("verified.stage.closed", 0) == 1
+        assert counters.get("verified.stage.float64", 0) == 1
         assert counters.get("verified.stage.exact", 0) == 1
 
     def test_overlapping_spheres_false(self):

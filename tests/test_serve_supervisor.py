@@ -46,6 +46,62 @@ from repro.stream.wal import WriteAheadLog
 
 
 # ----------------------------------------------------------------------
+# The worker's thread model
+# ----------------------------------------------------------------------
+class TestWorkerFrameThread:
+    def test_requests_run_on_the_frame_thread(self, tmp_path):
+        # A worker serves one frame at a time, so its query attempts and
+        # mutations run on the thread that read the frame: no executor
+        # thread is ever started.
+        from repro.data.synthetic import synthetic_dataset
+        from repro.stream.engine import StreamingIndex
+        from repro.serve.worker import build_worker_app, serve_frames
+
+        directory = str(tmp_path / "live")
+        items = list(synthetic_dataset(40, 2, seed=3).items())
+        StreamingIndex.create(directory, items, kind="sstree").close()
+        query = {
+            "kind": "rknn", "index": "live", "center": [100.0, 100.0], "radius": 2.0,
+        }
+        mutation = {
+            "index": "live", "op": "insert", "key": "fresh",
+            "center": [90.0, 95.0], "radius": 1.0,
+        }
+        frames = [
+            {"op": "request", "id": 1, "method": "POST", "path": "/query",
+             "headers": {}, "body": json.dumps(query)},
+            {"op": "request", "id": 2, "method": "POST", "path": "/mutate",
+             "headers": {}, "body": json.dumps(mutation)},
+            {"op": "shutdown", "id": 3},
+        ]
+        stdin = io.BytesIO(b"".join(encode_frame(frame) for frame in frames))
+        stdout = io.BytesIO()
+        before = set(threading.enumerate())
+        app = build_worker_app({"role": "mutation", "streams": {"live": directory}})
+        loop = asyncio.new_event_loop()
+        try:
+            serve_frames(app, loop, stdin, stdout, "mutation")
+            started = [
+                thread.name
+                for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("repro-serve")
+            ]
+        finally:
+            loop.close()
+            app.close()
+        stdout.seek(0)
+        replies = []
+        while (frame := read_frame(stdout)) is not None:
+            replies.append(frame)
+        assert [reply["op"] for reply in replies] == [
+            "ready", "response", "response", "bye",
+        ]
+        assert [reply["status"] for reply in replies[1:3]] == [200, 200]
+        assert json.loads(replies[2]["body"])["acked"] is True
+        assert started == []
+
+
+# ----------------------------------------------------------------------
 # Worker pipe framing
 # ----------------------------------------------------------------------
 class TestFrameCodec:
