@@ -330,6 +330,8 @@ def _measure_serve(
     processes and — when ``kill`` > 0 — SIGKILLs one query worker
     right before that request index of the first burst, so the
     committed trajectory prices failover, not just the happy path.
+    Both boot, wait for ``/readyz`` and drain through the same
+    lifecycle.
     One sample per request; statuses are asserted into the
     degradation contract ({200, 206, 429} single, + 503 supervised).
     """
@@ -384,54 +386,41 @@ def _measure_serve(
             if samples is not None:
                 samples.append(elapsed)
 
-    def run_single(samples: "list[float] | None", rounds: int) -> None:
-        from repro.serve.app import ServeApp, start_server
-
-        app = ServeApp.from_snapshots({"default": path}, seed=seed)
-
-        async def go() -> None:
-            server = await start_server(app)
-            host, port = server.sockets[0].getsockname()[:2]
-            try:
-                for _ in range(rounds):
-                    await burst(host, port, samples)
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        try:
-            asyncio.run(go())
-        finally:
-            app.close(drain_s=0.0)
-
-    def run_workers(samples: "list[float] | None", rounds: int) -> None:
+    def runner(samples: "list[float] | None", rounds: int) -> None:
+        from repro.serve.app import ServeApp
+        from repro.serve.smoke import wait_ready
         from repro.serve.supervisor import Supervisor, SupervisorConfig
 
-        supervisor = Supervisor(
-            SupervisorConfig(
-                query_workers=workers,
-                snapshots={"default": path},
-                backoff_base_s=0.05,
-                backoff_cap_s=0.5,
-                seed=seed,
+        app = (
+            Supervisor(
+                SupervisorConfig(
+                    query_workers=workers,
+                    snapshots={"default": path},
+                    backoff_base_s=0.05,
+                    backoff_cap_s=0.5,
+                    seed=seed,
+                )
             )
+            if phase == "workers"
+            else ServeApp.from_snapshots({"default": path}, seed=seed)
         )
 
         async def go() -> None:
-            host, port = await supervisor.start()
+            host, port = await app.start()
             try:
+                if await wait_ready(host, port) != 200:
+                    raise RuntimeError("serve bench: server never became ready")
                 for round_no in range(rounds):
                     kill_pid = None
-                    if kill_at > 0 and round_no == 0:
-                        pids = supervisor.worker_pids("query")
+                    if isinstance(app, Supervisor) and kill_at > 0 and round_no == 0:
+                        pids = app.worker_pids("query")
                         kill_pid = pids[0] if pids else None
                     await burst(host, port, samples, kill_pid)
             finally:
-                await supervisor.drain_and_stop()
+                await app.drain_and_stop()
 
         asyncio.run(go())
 
-    runner = run_workers if phase == "workers" else run_single
     samples: "list[float]" = []
     runner(samples, repeats)
 

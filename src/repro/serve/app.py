@@ -31,24 +31,33 @@ degradation surface only as 206 or 429, never as 5xx**
 (``tests/test_serve_chaos.py`` drives this across every serve seam ×
 mode of :mod:`repro.robust.faults`).
 
-Queries and mutations execute on a thread-pool executor sized to the
-admission concurrency bound, each under ``contextvars.copy_context()``
-so the active obs registry, budget scope and event log all propagate
-into the executor thread (:meth:`ServeApp._run_sync`; a pooled worker,
-which serves one request at a time, runs them on its frame thread
-instead, see :mod:`repro.serve.worker`).  The ``"handler"`` fault seam
-patches :func:`_handler_hook` to inject slow or exploding handlers.
+This is the one request pipeline of both serving modes.  Everything
+above runs once per request in :meth:`ServeApp.handle`; only where an
+attempt runs differs.  :meth:`ServeApp._attempt` (one budgeted query
+attempt, :func:`run_attempt`) and :meth:`ServeApp._mutate` (one WAL
+append, :func:`apply_mutation`) run on a thread-pool executor sized to
+the admission concurrency bound, each under
+``contextvars.copy_context()`` so the active obs registry, budget scope
+and event log all propagate into the executor thread
+(:meth:`ServeApp._run_sync`).  The pooled server
+(:class:`repro.serve.supervisor.Supervisor`) is a subclass that sends
+each of them to a worker process as one pipe frame instead, where
+:mod:`repro.serve.worker` runs the same two functions.  The
+``"handler"`` fault seam patches :func:`_handler_hook` to inject slow
+or exploding handlers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
 import random
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro import obs
 from repro.core.base import available_criteria
@@ -87,7 +96,14 @@ from repro.serve.retry import RetryPolicy, run_with_retry
 from repro.serve.tenancy import TenantClass, TenantPolicy
 from repro.stream.engine import StreamingIndex
 
-__all__ = ["IndexState", "ServeApp", "start_server"]
+__all__ = [
+    "IndexState",
+    "ServeApp",
+    "WorkerUnavailable",
+    "apply_mutation",
+    "run_attempt",
+    "start_server",
+]
 
 QUERY_KINDS = ("knn", "rknn", "dominating")
 
@@ -99,6 +115,10 @@ _MAX_HANDLER_DELAY_S = 0.5
 
 #: How long one connection may take to deliver a full request.
 _READ_TIMEOUT_S = 10.0
+
+
+class WorkerUnavailable(ServeError):
+    """No pooled worker could run an attempt or mutation (a 503)."""
 
 
 def _handler_hook() -> float:
@@ -128,14 +148,16 @@ class IndexState:
     #: streaming directory instead of a frozen snapshot.  Queries then
     #: merge the live overlay and ``POST /mutate`` is accepted.
     stream: "StreamingIndex | None" = None
+    #: Whether ``POST /mutate`` is accepted: a streaming index, here or
+    #: (in the pooled server) in the mutation worker.
+    mutable: bool = False
+    #: Object dimensionality, once known (mutations are validated
+    #: against it).
+    dimension: "int | None" = None
 
     @property
     def quarantined(self) -> bool:
         return not self.healthy
-
-    @property
-    def mutable(self) -> bool:
-        return self.stream is not None
 
     def snapshot(self) -> "dict[str, Any]":
         """The health block ``/readyz`` publishes for this index."""
@@ -143,15 +165,16 @@ class IndexState:
             "healthy": self.healthy,
             "breaker": self.breaker.snapshot(),
         }
-        if self.stream is not None:
+        if self.mutable:
             info["mutable"] = True
+        if self.dimension is not None:
+            info["dimension"] = self.dimension
+        if self.stream is not None:
             info["last_seq"] = self.stream.last_seq
             info["overlay_entries"] = len(self.stream.overlay)
             info["entries"] = len(self.stream.base)  # type: ignore[arg-type]
-            info["dimension"] = self.stream.dimension
         elif self.index is not None:
             info["entries"] = len(self.index)
-            info["dimension"] = self.index.dimension
         if self.error is not None:
             info["error"] = self.error
         if self.source is not None:
@@ -171,6 +194,7 @@ class ServeApp:
         event_log: "obs_export.QueryEventLog | None" = None,
         breaker_failure_threshold: int = 5,
         breaker_recovery_s: float = 2.0,
+        drain_s: float = 2.0,
         seed: int = 0,
     ) -> None:
         self.policy = policy if policy is not None else TenantPolicy()
@@ -180,12 +204,18 @@ class ServeApp:
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
+        #: Owned by the app from here on: closed when it stops.
         self.event_log = event_log
         self._breaker_failure_threshold = breaker_failure_threshold
         self._breaker_recovery_s = breaker_recovery_s
+        #: Wall clock granted to in-flight requests by
+        #: :meth:`drain_and_stop`.
+        self.drain_s = drain_s
         self._rng = random.Random(seed)
         self._indexes: "dict[str, IndexState]" = {}
         self._draining = False
+        self._drain_event = asyncio.Event()
+        self._server: "asyncio.AbstractServer | None" = None
         self._executor = ThreadPoolExecutor(
             max_workers=self.admission.max_concurrency,
             thread_name_prefix="repro-serve",
@@ -218,6 +248,7 @@ class ServeApp:
             flat=flat,
             breaker=self._new_breaker(name),
             source=source,
+            dimension=index.dimension,
         )
         self._indexes[name] = state
         return state
@@ -298,6 +329,8 @@ class ServeApp:
             breaker=self._new_breaker(name),
             source=source,
             stream=stream,
+            mutable=True,
+            dimension=stream.dimension,
         )
         self._indexes[name] = state
         return state
@@ -318,31 +351,97 @@ class ServeApp:
 
     @property
     def draining(self) -> bool:
-        """Whether the app has stopped accepting work (see :meth:`close`)."""
+        """Whether the app has stopped accepting work."""
         return self._draining
 
-    #: How often :meth:`close` re-checks the in-flight count while
-    #: draining; small enough that an idle shutdown is instant.
+    # ------------------------------------------------------------------
+    # Lifecycle: start, serve until a signal, drain, stop
+    # ------------------------------------------------------------------
+    #: How often a drain re-checks the in-flight count; small enough
+    #: that an idle shutdown is instant.
     _DRAIN_POLL_S = 0.005
 
-    def close(self, drain_s: float = 2.0) -> None:
-        """Graceful shutdown: stop accepting, drain, only then cancel.
+    async def start(
+        self, host: str = "127.0.0.1", port: int = 0
+    ) -> "tuple[str, int]":
+        """Bind the listener; returns the bound ``(host, port)``."""
+        self._server = await start_server(self, host=host, port=port)
+        bound = self._server.sockets[0].getsockname()
+        return str(bound[0]), int(bound[1])
 
-        New ``/query`` and ``/mutate`` requests answer 503
-        ``draining`` the moment this is called; requests already
-        admitted get up to *drain_s* seconds of wall clock to finish on
-        their executor threads before the pool is cancelled.  An idle
-        server (the common case) observes no delay at all.  Called from
-        synchronous shutdown code — the event loop is already stopping
-        or stopped — so the polling sleep blocks nobody.
+    async def serve_until_drained(
+        self, host: str = "127.0.0.1", port: int = 8080
+    ) -> None:
+        """The CLI's main coroutine: serve until SIGTERM/SIGINT, drain."""
+        bound = await self.start(host, port)
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, self.request_drain)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # non-Unix loop: Ctrl-C falls back to KeyboardInterrupt
+        print(
+            f"repro serve listening on {bound[0]}:{bound[1]} ({self._banner()})",
+            flush=True,
+        )
+        await self._drain_event.wait()
+        await self.drain_and_stop()
+
+    def _banner(self) -> str:
+        healthy = sum(1 for state in self._indexes.values() if state.healthy)
+        return f"{healthy}/{len(self._indexes)} index(es) healthy"
+
+    def request_drain(self) -> None:
+        """The SIGTERM/SIGINT handler: set flags, nothing else (DOM207)."""
+        self._draining = True
+        self._drain_event.set()
+
+    async def drain_and_stop(self) -> None:
+        """Stop accepting, give in-flight work :attr:`drain_s`, stop.
+
+        New ``/query`` and ``/mutate`` requests answer 503 ``draining``
+        from the first moment; the wait runs inside the loop the
+        in-flight requests run on.
+        """
+        self._draining = True
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + max(self.drain_s, 0.0)
+        while self.admission.in_flight > 0 and loop.time() < deadline:
+            await asyncio.sleep(self._DRAIN_POLL_S)
+        self._stop()
+
+    def close(self, drain_s: float = 2.0) -> None:
+        """Graceful shutdown for synchronous callers.
+
+        The same contract as :meth:`drain_and_stop`, for code whose
+        event loop is already stopping or stopped (so the polling sleep
+        blocks nobody): new requests answer 503 ``draining``, admitted
+        ones get up to *drain_s* seconds of wall clock to finish on
+        their executor threads, then the pool is cancelled.  An idle
+        server observes no delay at all.
         """
         self._draining = True
         deadline = time.monotonic() + max(float(drain_s), 0.0)
         while self.admission.in_flight > 0 and time.monotonic() < deadline:
             time.sleep(self._DRAIN_POLL_S)
+        self._stop()
+
+    def _stop(self) -> None:
+        """Count how the drain ended, cancel the executor, close the log."""
         if obs.ENABLED and self.admission.in_flight > 0:
             obs.incr(names.SERVE_WORKERS_DRAIN_TIMEOUTS)
+        elif obs.ENABLED:
+            obs.incr(names.SERVE_WORKERS_DRAINED)
         self._executor.shutdown(wait=False, cancel_futures=True)
+        # Detach first: a request still finishing after the drain
+        # window skips the log instead of writing to a closed file.
+        event_log, self.event_log = self.event_log, None
+        if event_log is not None:
+            event_log.close()
 
     # ------------------------------------------------------------------
     # Routing
@@ -406,6 +505,27 @@ class ServeApp:
             content_type="text/plain; version=0.0.4",
         )
 
+    def _lookup(self, name: str, *, mutation: bool) -> "IndexState | HttpResponse":
+        """The served index *name*, or the 404/503 that refuses it."""
+        state = self._indexes.get(name)
+        if state is None:
+            if obs.ENABLED and mutation:
+                obs.incr(names.SERVE_MUTATIONS_REJECTED)
+            elif obs.ENABLED:
+                obs.incr(names.SERVE_RESPONSES_REJECTED)
+            return json_response(
+                404,
+                {"error": "unknown_index", "index": name, "known": sorted(self._indexes)},
+            )
+        if state.quarantined:
+            if obs.ENABLED:
+                obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
+            return json_response(
+                503,
+                {"error": "index_quarantined", "index": name, "detail": state.error},
+            )
+        return state
+
     # ------------------------------------------------------------------
     # The query path
     # ------------------------------------------------------------------
@@ -423,29 +543,9 @@ class ServeApp:
                 400, {"error": "validation", "message": str(error)}
             )
 
-        state = self._indexes.get(params["index"])
-        if state is None:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_REJECTED)
-            return json_response(
-                404,
-                {
-                    "error": "unknown_index",
-                    "index": params["index"],
-                    "known": sorted(self._indexes),
-                },
-            )
-        if state.quarantined:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
-            return json_response(
-                503,
-                {
-                    "error": "index_quarantined",
-                    "index": state.name,
-                    "detail": state.error,
-                },
-            )
+        state = self._lookup(params["index"], mutation=False)
+        if isinstance(state, HttpResponse):
+            return state
         if not state.breaker.allow():
             return self._shed(
                 tenant, "breaker_open", state.breaker.retry_after_s()
@@ -464,17 +564,20 @@ class ServeApp:
         try:
             async with self.admission.slot():
                 settled = await run_with_retry(
-                    self._attempt_factory(state, tenant, params),
+                    functools.partial(self._attempt, state, tenant, params),
                     self.retry_policy,
                     self._rng,
                     allow_retry=tenant.retry,
                     hedge=tenant.hedge,
                 )
-        except ValidationError as error:
+        except (ValidationError, WorkerUnavailable) as error:
             # The query layer rejected the request (dimension mismatch,
-            # bad criterion): the client's fault, not the index's.
+            # bad criterion), or no pooled worker was left to run it:
+            # neither is index damage, so a breaker probe settles clean.
             if state.breaker.state is not BreakerState.CLOSED:
                 state.breaker.record_success()
+            if isinstance(error, WorkerUnavailable):
+                return self._worker_unavailable()
             if obs.ENABLED:
                 obs.incr(names.SERVE_RESPONSES_REJECTED)
             return json_response(
@@ -524,31 +627,10 @@ class ServeApp:
             return self._reject_mutation(
                 tenant, f"index must be a non-empty string, got {index_name!r}"
             )
-        state = self._indexes.get(index_name)
-        if state is None:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_MUTATIONS_REJECTED)
-            return json_response(
-                404,
-                {
-                    "error": "unknown_index",
-                    "index": index_name,
-                    "known": sorted(self._indexes),
-                },
-            )
-        if state.quarantined:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
-            return json_response(
-                503,
-                {
-                    "error": "index_quarantined",
-                    "index": state.name,
-                    "detail": state.error,
-                },
-            )
-        stream = state.stream
-        if stream is None:
+        state = self._lookup(index_name, mutation=True)
+        if isinstance(state, HttpResponse):
+            return state
+        if not state.mutable:
             if obs.ENABLED:
                 obs.incr(names.SERVE_MUTATIONS_REJECTED)
             return json_response(
@@ -563,7 +645,7 @@ class ServeApp:
         try:
             op, key, sphere = validate_mutation(
                 {k: v for k, v in payload.items() if k != "index"},
-                stream.dimension,
+                state.dimension,
             )
         except ValidationError as error:
             return self._reject_mutation(tenant, str(error))
@@ -574,19 +656,14 @@ class ServeApp:
                 tenant, decision.reason or "queue_full", decision.retry_after_s
             )
 
-        def mutate_sync() -> int:
-            if op == "insert":
-                assert sphere is not None
-                return stream.insert(key, sphere)
-            return stream.delete(key)
-
         try:
             async with self.admission.slot():
-                seq = await self._run_sync(mutate_sync)
-        except (StreamError, OSError, ArithmeticError) as error:
+                ack = await self._mutate(state, op, key, sphere)
+        except (StreamError, OSError, ArithmeticError, WorkerUnavailable) as error:
             # The append (or its fsync) failed — including an injected
-            # WAL-seam explosion: nothing was acked, and saying so
-            # honestly beats a fabricated 200.
+            # WAL-seam explosion, or a mutation worker that never came
+            # back: nothing was acked, and saying so honestly beats a
+            # fabricated 200.
             if obs.ENABLED:
                 obs.incr(names.SERVE_MUTATIONS_REJECTED)
             return json_response(
@@ -609,7 +686,7 @@ class ServeApp:
             200,
             {
                 "acked": True,
-                "seq": seq,
+                **ack,
                 "op": op,
                 "key": key,
                 "index": state.name,
@@ -635,34 +712,34 @@ class ServeApp:
             },
         )
 
-    def _attempt_factory(
+    async def _attempt(
         self,
         state: IndexState,
         tenant: TenantClass,
         params: "dict[str, Any]",
-    ) -> "Callable[[], Awaitable[Any]]":
-        """One factory per request; each call is one budgeted attempt."""
+    ) -> Any:
+        """One budgeted query attempt; retries call it again.
 
-        def attempt_sync() -> Any:
-            budget = tenant.mint_budget()
-            with budget_scope(budget):
-                try:
-                    delay = float(_handler_hook())
-                except ArithmeticError as error:
-                    return _absorbed_handler_fault(error)
-                if delay > 0.0:
-                    time.sleep(min(delay, _MAX_HANDLER_DELAY_S))
-                try:
-                    return _execute_query(state, params)
-                except ArithmeticError as error:
-                    # An explosion that escaped the query layer's own
-                    # absorption: still a conservative 206, never a 5xx.
-                    return _absorbed_handler_fault(error)
+        Runs :func:`run_attempt` on the executor.  The pooled server
+        overrides it to send the attempt to a worker instead.
+        """
+        return await self._run_sync(
+            functools.partial(run_attempt, state, tenant, params)
+        )
 
-        async def attempt() -> Any:
-            return await self._run_sync(attempt_sync)
+    async def _mutate(
+        self, state: IndexState, op: str, key: Any, sphere: "Hypersphere | None"
+    ) -> "dict[str, Any]":
+        """Apply one validated mutation; returns the ack's ``seq`` field.
 
-        return attempt
+        Runs :func:`apply_mutation` on the executor; the pooled server
+        sends it to the mutation worker instead.
+        """
+        assert state.stream is not None
+        seq = await self._run_sync(
+            functools.partial(apply_mutation, state.stream, op, key, sphere)
+        )
+        return {"seq": seq}
 
     async def _run_sync(self, work: "Callable[[], _T]") -> "_T":
         """Run one query attempt or mutation on an executor thread.
@@ -688,6 +765,19 @@ class ServeApp:
             state.breaker.record_failure()
         else:
             state.breaker.record_success()
+
+    #: The ``Retry-After`` of a 503 ``worker_unavailable``.
+    _WORKER_RETRY_S = 0.2
+
+    def _worker_unavailable(self) -> HttpResponse:
+        """The honest 503 when no pooled worker could answer a query."""
+        if obs.ENABLED:
+            obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
+        return json_response(
+            503,
+            {"error": "worker_unavailable", "retry_after_s": self._WORKER_RETRY_S},
+            headers={"Retry-After": f"{self._WORKER_RETRY_S:.3f}"},
+        )
 
     def _shed(
         self, tenant: TenantClass, reason: str, retry_after_s: float
@@ -790,6 +880,42 @@ class ServeApp:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+
+def run_attempt(
+    state: IndexState, tenant: TenantClass, params: "dict[str, Any]"
+) -> Any:
+    """One budgeted query attempt: the body both serving modes run.
+
+    Mints the tenant's budget, consults :func:`_handler_hook` and runs
+    :func:`_execute_query` under the budget scope; an
+    ``ArithmeticError`` from either is absorbed into a conservative
+    206, never a 5xx.  A :class:`ValidationError` propagates (a 400).
+    """
+    budget = tenant.mint_budget()
+    with budget_scope(budget):
+        try:
+            delay = float(_handler_hook())
+        except ArithmeticError as error:
+            return _absorbed_handler_fault(error)
+        if delay > 0.0:
+            time.sleep(min(delay, _MAX_HANDLER_DELAY_S))
+        try:
+            return _execute_query(state, params)
+        except ArithmeticError as error:
+            # An explosion that escaped the query layer's own
+            # absorption: still a conservative 206, never a 5xx.
+            return _absorbed_handler_fault(error)
+
+
+def apply_mutation(
+    stream: StreamingIndex, op: str, key: Any, sphere: "Hypersphere | None"
+) -> int:
+    """Append one validated mutation to *stream*; its seq, once fsynced."""
+    if op == "insert":
+        assert sphere is not None
+        return stream.insert(key, sphere)
+    return stream.delete(key)
 
 
 def _absorbed_handler_fault(error: ArithmeticError) -> PartialResult:
@@ -896,5 +1022,6 @@ def _execute_query(state: IndexState, params: "dict[str, Any]") -> Any:
 async def start_server(
     app: ServeApp, host: str = "127.0.0.1", port: int = 0
 ) -> "asyncio.AbstractServer":
-    """Bind the app; ``server.sockets[0].getsockname()`` has the port."""
+    """Bind *app* (no lifecycle); ``server.sockets[0].getsockname()``
+    has the port.  :meth:`ServeApp.start` is the managed form."""
     return await asyncio.start_server(app.handle_connection, host=host, port=port)

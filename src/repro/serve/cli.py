@@ -19,13 +19,15 @@ integrity-checked, the write-ahead log is replayed over it, and
 ``docs/streaming.md``).
 
 ``--workers N`` (N >= 1) switches to supervised multi-process serving
-(:mod:`repro.serve.supervisor`): N query workers share the read-only
-snapshot shards, one mutation worker exclusively owns the streams'
-write-ahead logs, and the supervisor heals crashes with heartbeats,
-backoff respawns and request failover.  ``--drain-ms`` bounds how long
-in-flight requests may finish after SIGTERM/SIGINT (both modes honour
-it; the single-process server drains through
-:meth:`~repro.serve.app.ServeApp.close`).
+(:mod:`repro.serve.supervisor`): the same request pipeline runs in the
+supervisor, and each query attempt or mutation runs in a worker
+process.  N query workers share the read-only snapshot shards, one
+mutation worker exclusively owns the streams' write-ahead logs, and
+the supervisor heals crashes with heartbeats, backoff respawns and
+query failover.  Both modes run the same lifecycle
+(:meth:`~repro.serve.app.ServeApp.serve_until_drained`), so
+``--drain-ms`` (how long in-flight requests may finish after
+SIGTERM/SIGINT) and ``--event-log`` apply to both.
 
 ``repro serve smoke`` runs the self-contained smoke scenario
 (:mod:`repro.serve.smoke`): boot on a fixture snapshot, fire a burst of
@@ -46,17 +48,23 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
+import os
+import shutil
 import sys
-from typing import Sequence
+import tempfile
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import obs
 from repro.cli import deadline_ms_argtype
 from repro.exceptions import ReproError
+from repro.index import snapshot as snapshot_io
 from repro.obs import export as obs_export
 from repro.serve.admission import AdmissionController
-from repro.serve.app import ServeApp, start_server
+from repro.serve.app import ServeApp
 from repro.serve.tenancy import TenantPolicy, default_classes
+
+if TYPE_CHECKING:
+    from repro.serve.supervisor import SupervisorConfig
 
 __all__ = ["build_parser", "main"]
 
@@ -119,7 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-concurrency",
         type=int,
         default=8,
-        help="concurrent query executions (default 8)",
+        help=(
+            "concurrent query executions (default 8); a pool (--workers) "
+            "runs one request per worker, so this applies only to "
+            "single-process serving"
+        ),
     )
     parser.add_argument(
         "--max-queue",
@@ -184,25 +196,16 @@ def _parse_snapshot_specs(specs: "Sequence[str]") -> "dict[str, str]":
     return table
 
 
-def build_app(args: argparse.Namespace) -> ServeApp:
-    """One configured :class:`ServeApp` from parsed CLI arguments."""
-    scale = (
-        args.deadline_ms / _STANDARD_DEADLINE_MS
-        if args.deadline_ms is not None
-        else 1.0
-    )
-    app = ServeApp(
-        policy=TenantPolicy(default_classes(deadline_scale=scale)),
-        admission=AdmissionController(
-            max_concurrency=args.max_concurrency, max_queue=args.max_queue
-        ),
-        event_log=(
-            obs_export.QueryEventLog.open(args.event_log)
-            if args.event_log
-            else None
-        ),
-        seed=args.seed,
-    )
+def _deadline_scale(args: argparse.Namespace) -> float:
+    if args.deadline_ms is None:
+        return 1.0
+    return float(args.deadline_ms) / _STANDARD_DEADLINE_MS
+
+
+def _index_specs(
+    args: argparse.Namespace,
+) -> "tuple[dict[str, str], dict[str, str]]":
+    """``(snapshots, streams)`` from ``--snapshot`` and ``--stream``."""
     specs = _parse_snapshot_specs(args.snapshot)
     stream_specs = _parse_snapshot_specs(getattr(args, "stream", []))
     overlap = set(specs) & set(stream_specs)
@@ -211,6 +214,34 @@ def build_app(args: argparse.Namespace) -> ServeApp:
             f"index name(s) given to both --snapshot and --stream: "
             f"{sorted(overlap)}"
         )
+    return specs, stream_specs
+
+
+def _synthetic_tree(args: argparse.Namespace) -> Any:
+    """The SS-tree served when neither --snapshot nor --stream is given."""
+    from repro.data.synthetic import synthetic_dataset
+    from repro.index.sstree import SSTree
+
+    dataset = synthetic_dataset(args.n, args.dimension, seed=args.seed)
+    return SSTree.bulk_load(dataset.items())
+
+
+def build_app(args: argparse.Namespace) -> ServeApp:
+    """One configured single-process :class:`ServeApp` from CLI arguments."""
+    specs, stream_specs = _index_specs(args)
+    app = ServeApp(
+        policy=TenantPolicy(default_classes(deadline_scale=_deadline_scale(args))),
+        admission=AdmissionController(
+            max_concurrency=args.max_concurrency, max_queue=args.max_queue
+        ),
+        event_log=(
+            obs_export.QueryEventLog.open(args.event_log)
+            if args.event_log
+            else None
+        ),
+        drain_s=max(args.drain_ms, 0.0) / 1000.0,
+        seed=args.seed,
+    )
     for name, directory in stream_specs.items():
         state = app.load_stream(name, directory)
         if state.quarantined:
@@ -219,53 +250,48 @@ def build_app(args: argparse.Namespace) -> ServeApp:
                 f"{state.error}",
                 file=sys.stderr,
             )
-    if specs:
-        for name, path in specs.items():
-            state = app.load_snapshot(name, path)
-            if state.quarantined:
-                print(
-                    f"warning: index {name!r} quarantined at boot: "
-                    f"{state.error}",
-                    file=sys.stderr,
-                )
-    elif not stream_specs:
-        from repro.data.synthetic import synthetic_dataset
-        from repro.index.sstree import SSTree
-
-        dataset = synthetic_dataset(args.n, args.dimension, seed=args.seed)
-        tree = SSTree.bulk_load(dataset.items())
-        app.register_index("default", tree, source="synthetic")
+    for name, path in specs.items():
+        state = app.load_snapshot(name, path)
+        if state.quarantined:
+            print(
+                f"warning: index {name!r} quarantined at boot: "
+                f"{state.error}",
+                file=sys.stderr,
+            )
+    if not specs and not stream_specs:
+        app.register_index("default", _synthetic_tree(args), source="synthetic")
     return app
 
 
-async def _serve_forever(
-    app: ServeApp, host: str, port: int, drain_s: float
-) -> None:
-    server = await start_server(app, host=host, port=port)
-    bound = server.sockets[0].getsockname()
-    healthy = sum(1 for state in app.indexes.values() if state.healthy)
-    print(
-        f"repro serve listening on {bound[0]}:{bound[1]} "
-        f"({healthy}/{len(app.indexes)} index(es) healthy)",
-        flush=True,
+def _pool_config(
+    args: argparse.Namespace,
+) -> "tuple[SupervisorConfig, str | None]":
+    """The worker-pool config for ``--workers N``, and its scratch dir.
+
+    With neither snapshots nor streams, a synthetic SS-tree snapshot is
+    written into a temporary directory (the caller removes it) so the
+    workers have a shared read-only shard to load — the same fixture
+    the single-process server builds in memory.
+    """
+    from repro.serve.supervisor import SupervisorConfig
+
+    snapshots, streams = _index_specs(args)
+    scratch = None
+    if not snapshots and not streams:
+        scratch = tempfile.mkdtemp(prefix="repro-serve-workers-")
+        snapshots["default"] = os.path.join(scratch, "default.snap")
+        snapshot_io.save(_synthetic_tree(args), snapshots["default"])
+    config = SupervisorConfig(
+        query_workers=args.workers,
+        snapshots=snapshots,
+        streams=streams,
+        deadline_scale=_deadline_scale(args),
+        seed=args.seed,
+        max_queue=args.max_queue,
+        drain_s=max(args.drain_ms, 0.0) / 1000.0,
+        event_log=args.event_log,
     )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            # Flag-only handler (Event.set) — the DOM207 contract.
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-Unix loop: Ctrl-C falls back to KeyboardInterrupt
-    await stop.wait()
-    # Graceful drain: stop accepting, give in-flight requests their
-    # wall clock *inside* the loop (ServeApp.close's sync drain would
-    # block the very loop the requests run on).
-    server.close()
-    await server.wait_closed()
-    deadline = loop.time() + max(drain_s, 0.0)
-    while app.admission.in_flight > 0 and loop.time() < deadline:
-        await asyncio.sleep(0.01)
+    return config, scratch
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -281,55 +307,28 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(arguments)
     obs.enable()
-    drain_s = max(args.drain_ms, 0.0) / 1000.0
-    if args.workers > 0:
-        from repro.serve.supervisor import run_supervisor
-
-        scale = (
-            args.deadline_ms / _STANDARD_DEADLINE_MS
-            if args.deadline_ms is not None
-            else 1.0
-        )
+    scratch = None
+    app: ServeApp
+    try:
         try:
-            snapshots = _parse_snapshot_specs(args.snapshot)
-            streams = _parse_snapshot_specs(args.stream)
-            overlap = set(snapshots) & set(streams)
-            if overlap:
-                raise ReproError(
-                    f"index name(s) given to both --snapshot and --stream: "
-                    f"{sorted(overlap)}"
-                )
-            return run_supervisor(
-                workers=args.workers,
-                snapshots=snapshots,
-                streams=streams,
-                host=args.host,
-                port=args.port,
-                drain_ms=args.drain_ms,
-                deadline_scale=scale,
-                max_queue=args.max_queue,
-                seed=args.seed,
-                n=args.n,
-                dimension=args.dimension,
-            )
+            if args.workers > 0:
+                # Looked up at call time; a single process never loads it.
+                from repro.serve import supervisor
+
+                config, scratch = _pool_config(args)
+                app = supervisor.Supervisor(config)
+            else:
+                app = build_app(args)
         except ReproError as error:
             print(f"serve error: {error}", file=sys.stderr)
             return 1
-    try:
-        app = build_app(args)
-    except ReproError as error:
-        print(f"serve error: {error}", file=sys.stderr)
-        return 1
-    try:
-        asyncio.run(_serve_forever(app, args.host, args.port, drain_s))
-    except KeyboardInterrupt:
-        print("interrupted; shutting down", file=sys.stderr)
+        try:
+            asyncio.run(app.serve_until_drained(args.host, args.port))
+        except KeyboardInterrupt:
+            print("interrupted; shutting down", file=sys.stderr)
     finally:
-        # In-flight work already got its drain window inside the loop;
-        # close() only has the executor queue left to settle.
-        app.close(drain_s=0.0)
-        if app.event_log is not None:
-            app.event_log.close()
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
     return 0
 
 

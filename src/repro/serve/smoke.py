@@ -14,13 +14,16 @@
 
 ``--workers N`` runs the same burst against a supervised worker pool
 (:mod:`repro.serve.supervisor`) instead: the default seam becomes
-``"worker_kill"`` (SIGKILL a worker right before dispatch), **503**
+``"worker_kill"`` (SIGKILL a worker right before dispatch) and **503**
 joins the allowed statuses (a supervisor that has lost every worker
-answers honestly rather than hanging), and the scenario additionally
-requires ``/readyz`` to converge back to quorum after the burst.
+answers honestly rather than hanging).  Both modes boot and drain
+through the same :class:`~repro.serve.app.ServeApp` lifecycle, and both
+require ``/readyz`` to answer 200 after the burst (a pool must have
+converged back to quorum).
 
 The module also hosts :func:`request`, the dependency-free asyncio
-HTTP client the serve test suite drives the real network stack with.
+HTTP client the serve test suite drives the real network stack with,
+and :func:`wait_ready`, its ``/readyz`` poll.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from repro.data.workload import knn_queries
 from repro.index import snapshot as snapshot_io
 from repro.index.sstree import SSTree
 from repro.serve.admission import AdmissionController
-from repro.serve.app import ServeApp, start_server
+from repro.serve.app import ServeApp
+from repro.serve.supervisor import Supervisor, SupervisorConfig
 
-__all__ = ["main", "request", "run_smoke"]
+__all__ = ["main", "request", "run_smoke", "wait_ready"]
 
 
 async def request(
@@ -106,6 +110,20 @@ def _smoke_bodies(
     return bodies
 
 
+async def wait_ready(host: str, port: int, timeout_s: float = 30.0) -> int:
+    """Poll ``/readyz`` until it answers 200 (a pool at quorum); the
+    last status seen."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    status = 503
+    while loop.time() < deadline:
+        status, _, _ = await request(host, port, "GET", "/readyz")
+        if status == 200:
+            break
+        await asyncio.sleep(0.1)
+    return status
+
+
 async def _run_burst(
     app: ServeApp,
     bodies: "Sequence[dict[str, Any]]",
@@ -115,8 +133,7 @@ async def _run_burst(
 ) -> "dict[str, Any]":
     from repro.robust import faults
 
-    server = await start_server(app)
-    host, port = server.sockets[0].getsockname()[:2]
+    host, port = await app.start()
     tenants = ("interactive", "standard", "batch")
     statuses: "list[int]" = []
     try:
@@ -131,59 +148,13 @@ async def _run_burst(
                     headers={"x-tenant-class": tenants[i % len(tenants)]},
                 )
                 statuses.append(status)
-        metrics_status, _, metrics_body = await request(
-            host, port, "GET", "/metrics"
-        )
-        readyz_status, _, _ = await request(host, port, "GET", "/readyz")
-    finally:
-        server.close()
-        await server.wait_closed()
-    return {
-        "statuses": statuses,
-        "metrics_status": metrics_status,
-        "metrics_text": metrics_body.decode("utf-8"),
-        "readyz_status": readyz_status,
-    }
-
-
-async def _run_supervised_burst(
-    supervisor: Any,
-    bodies: "Sequence[dict[str, Any]]",
-    seam: str,
-    mode: str,
-    every: int,
-) -> "dict[str, Any]":
-    from repro.robust import faults
-
-    host, port = await supervisor.start()
-    tenants = ("interactive", "standard", "batch")
-    statuses: "list[int]" = []
-    try:
-        with faults.inject(seam, mode, every=every):
-            for i, body in enumerate(bodies):
-                status, _, _ = await request(
-                    host,
-                    port,
-                    "POST",
-                    "/query",
-                    body=body,
-                    headers={"x-tenant-class": tenants[i % len(tenants)]},
-                )
-                statuses.append(status)
-        # The pool must heal: poll /readyz until quorum converges.
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + 30.0
-        readyz_status = 503
-        while loop.time() < deadline:
-            readyz_status, _, _ = await request(host, port, "GET", "/readyz")
-            if readyz_status == 200:
-                break
-            await asyncio.sleep(0.1)
+        # A pool must heal: /readyz converges back to quorum.
+        readyz_status = await wait_ready(host, port)
         metrics_status, _, metrics_body = await request(
             host, port, "GET", "/metrics"
         )
     finally:
-        await supervisor.drain_and_stop()
+        await app.drain_and_stop()
     return {
         "statuses": statuses,
         "metrics_status": metrics_status,
@@ -212,13 +183,8 @@ def run_smoke(
         snapshot_io.save(tree, path)
         bodies = _smoke_bodies(dataset, requests, seed)
         with obs.scope():
-            if workers > 0:
-                from repro.serve.supervisor import (
-                    Supervisor,
-                    SupervisorConfig,
-                )
-
-                supervisor = Supervisor(
+            app = (
+                Supervisor(
                     SupervisorConfig(
                         query_workers=workers,
                         snapshots={"default": path},
@@ -227,25 +193,14 @@ def run_smoke(
                         seed=seed,
                     )
                 )
-                summary = asyncio.run(
-                    _run_supervised_burst(
-                        supervisor, bodies, seam, mode, every
-                    )
-                )
-            else:
-                app = ServeApp.from_snapshots(
+                if workers > 0
+                else ServeApp.from_snapshots(
                     {"default": path},
-                    admission=AdmissionController(
-                        max_concurrency=4, max_queue=8
-                    ),
+                    admission=AdmissionController(max_concurrency=4, max_queue=8),
                     seed=seed,
                 )
-                try:
-                    summary = asyncio.run(
-                        _run_burst(app, bodies, seam, mode, every)
-                    )
-                finally:
-                    app.close()
+            )
+            summary = asyncio.run(_run_burst(app, bodies, seam, mode, every))
     statuses = summary["statuses"]
     allowed = {200, 206, 429, 503} if workers > 0 else {200, 206, 429}
     offenders = sorted({s for s in statuses if s not in allowed})

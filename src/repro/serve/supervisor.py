@@ -1,7 +1,12 @@
 """Supervised multi-process serving (``repro serve --workers N``).
 
-One supervisor process owns the listening socket and a pool of child
-workers (:mod:`repro.serve.worker`):
+:class:`Supervisor` is a :class:`~repro.serve.app.ServeApp`.  HTTP,
+routing, tenancy, admission, breakers, retry/hedge, the event log,
+drain and 206 rendering all run once per request, in the supervisor,
+on the single-process server's own code path.  What differs is where a
+request's work runs: each query attempt (:meth:`Supervisor._attempt`)
+and each mutation (:meth:`Supervisor._mutate`) is one pipe frame to a
+child worker (:mod:`repro.serve.worker`):
 
 - **N query workers** share the *read-only* snapshot shards — each
   loads the same snapshot files, so any of them can answer any query
@@ -10,14 +15,11 @@ workers (:mod:`repro.serve.worker`):
   configured) exclusively owns the write-ahead logs, holding the
   advisory WAL owner lock (:mod:`repro.stream.wal`) so the
   fsync-before-ack durability contract of :mod:`repro.stream` is
-  untouched by multi-processing.
+  untouched by multi-processing.  Queries against a streaming index go
+  to it too.
 
-The supervisor is a pure router: admission control and per-tenant
-token buckets run here (sheds stay synchronous 429s that never touch a
-worker), everything else — budgets, breakers, worker-side retries,
-206 degradation shaping — runs inside each worker's private
-:class:`~repro.serve.app.ServeApp`, which is what keeps a supervised
-answer bitwise identical to the single-process server's.
+The supervisor loads no index: it learns each index's health and
+dimension from the workers' ready handshakes.
 
 Robustness machinery, all driven by the chaos suite
 (``tests/test_serve_procs_chaos.py``):
@@ -31,12 +33,12 @@ Robustness machinery, all driven by the chaos suite
   to ``backoff_cap_s``); more than ``flap_max`` respawns inside
   ``flap_window_s`` marks the slot *failed* and stops the crash loop
   (``serve.workers.flap_capped``).
-- **Query failover** — queries are idempotent, so a dispatch that dies
-  mid-flight is shaped exactly like an absorbed handler fault (a
-  transient, degraded :class:`~repro.resilience.partial.PartialResult`)
-  and the standing :func:`repro.serve.retry.run_with_retry` machinery
-  retries it once on a surviving worker.  Both attempts dead is an
-  honest 503, never a fabricated answer.
+- **Query failover** — queries are idempotent, so a dispatch that loses
+  its worker is re-sent once, within the same attempt, to another live
+  worker (``serve.workers.failovers``).  When no worker answers, the
+  attempt raises :class:`WorkerUnavailable` and the front answers an
+  honest 503 ``worker_unavailable``, never a fabricated answer.  A lost
+  worker is not index damage, so it never feeds the index breaker.
 - **Mutation re-ack via the WAL seq hint** — mutations are serialized
   through the mutation worker (one in flight, ever).  If it dies
   mid-mutation, the respawned worker's handshake reports the recovered
@@ -44,20 +46,20 @@ Robustness machinery, all driven by the chaos suite
   append reached the fsynced log (re-ack it, resending would apply it
   twice), a hint *at* the last acked seq proves it never did (resend
   it once).  No acked mutation is lost or doubled.
-- **Graceful drain** — SIGTERM/SIGINT set a flag (nothing else; the
-  DOM207 lint rule polices exactly this), the listener closes, new
-  work answers 503 ``draining``, in-flight requests get ``drain_s``
-  to finish, then workers are shut down.
+- **Graceful drain** — the :class:`~repro.serve.app.ServeApp`
+  lifecycle (signals set a flag, the listener closes, new work answers
+  503 ``draining``, in-flight requests get ``drain_s``); the workers
+  stop last.
 - **/readyz quorum** — ready means a majority of query workers are
   live *and* the mutation worker (when configured) is live.
 
 Supervision tree (see ``docs/serving.md`` for the full picture)::
 
-    supervisor ─ listener + admission + router
-      ├─ query worker 0   (snapshot shards, read-only)
+    supervisor ─ ServeApp: HTTP, admission, breakers, retry, event log
+      ├─ query worker 0   (snapshot shards, read-only): frame → attempt → frame
       ├─ ...
-      ├─ query worker N-1 (snapshot shards, read-only)
-      └─ mutation worker  (streams; exclusive WAL owner lock)
+      ├─ query worker N-1
+      └─ mutation worker  (streams; exclusive WAL owner lock): frame → append → frame
 
 The ``worker_spawn`` / ``worker_heartbeat`` / ``worker_kill`` fault
 seams (:mod:`repro.robust.faults`) patch :func:`_spawn_probe`,
@@ -70,48 +72,37 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import random
-import signal
 import sys
-import time
 from asyncio.subprocess import Process
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro import obs
-from repro.exceptions import ProtocolError, ReproError, ServeError
+from repro.exceptions import ProtocolError, ServeError, StreamError, ValidationError
+from repro.geometry.hypersphere import Hypersphere
 from repro.obs import export as obs_export
 from repro.obs import names
-from repro.resilience.budget import Budget
 from repro.resilience.partial import PartialResult, ResilienceReport
 from repro.serve.admission import AdmissionController
+from repro.serve.app import IndexState, ServeApp, WorkerUnavailable
 from repro.serve.protocol import (
-    HttpRequest,
     HttpResponse,
     encode_frame,
     json_response,
     read_frame_async,
-    read_request,
-    write_response,
 )
-from repro.serve.retry import RetryPolicy, run_with_retry
 from repro.serve.tenancy import TenantClass, TenantPolicy, default_classes
+
+# Nothing here calls these: perfbench's tracer hooks both names on this
+# module, so they must resolve here.
+from repro.serve.protocol import read_request, write_response  # noqa: F401
 
 __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "WorkerSlot",
     "WorkerUnavailable",
-    "run_supervisor",
 ]
-
-#: How long one connection may take to deliver a full request
-#: (mirrors :mod:`repro.serve.app`).
-_READ_TIMEOUT_S = 10.0
-
-
-class WorkerUnavailable(ServeError):
-    """A dispatch found its worker dead, wedged, or gone mid-exchange."""
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +141,8 @@ class SupervisorConfig:
     #: Wall clock granted to in-flight requests at drain time.
     drain_s: float = 2.0
     heartbeat_s: float = 0.25
-    #: Slack added on top of the tenant's (doubled, for the worker-side
-    #: retry) deadline when sizing a dispatch timeout.
+    #: Slack added on top of the tenant's deadline when sizing a
+    #: dispatch timeout.
     dispatch_margin_s: float = 1.0
     #: How long one worker boot may take before it counts as failed.
     ready_timeout_s: float = 30.0
@@ -162,8 +153,8 @@ class SupervisorConfig:
     #: How long a mutation waits for the mutation worker to respawn
     #: before answering 503 ``acked: false``.
     mutation_failover_s: float = 20.0
-    worker_max_concurrency: int = 2
-    worker_max_queue: int = 8
+    #: Append one JSONL event per request to this file (``--event-log``).
+    event_log: "str | None" = None
 
 
 @dataclass
@@ -178,7 +169,6 @@ class WorkerSlot:
     lock: "asyncio.Lock" = field(default_factory=asyncio.Lock)
     #: Per-index recovered WAL high-water mark from the last handshake.
     last_seq: "dict[str, int]" = field(default_factory=dict)
-    indexes: "dict[str, Any]" = field(default_factory=dict)
     restarts: int = 0
     #: Consecutive failed spawn attempts (drives the backoff exponent).
     spawn_failures: int = 0
@@ -186,49 +176,31 @@ class WorkerSlot:
     restart_times: "list[float]" = field(default_factory=list)
 
 
-@dataclass
-class _WorkerReply:
-    """One proxied HTTP exchange as it came back over the pipe."""
+class _Answer:
+    """A query answer as it came back over the pipe: JSON already.
 
-    status: int
-    content_type: str
-    headers: "dict[str, str]"
-    body: str
-
-    @classmethod
-    def from_frame(cls, frame: "Mapping[str, Any]") -> "_WorkerReply":
-        return cls(
-            status=int(frame.get("status", 500)),
-            content_type=str(frame.get("content_type", "application/json")),
-            headers={
-                str(k): str(v)
-                for k, v in dict(frame.get("headers") or {}).items()
-            },
-            body=str(frame.get("body", "")),
-        )
-
-    def to_response(self) -> HttpResponse:
-        return HttpResponse(
-            status=self.status,
-            body=self.body.encode("utf-8"),
-            content_type=self.content_type,
-            headers=dict(self.headers),
-        )
-
-
-def _worker_fault_outcome(detail: str) -> PartialResult:
-    """A dead-worker attempt, shaped exactly like an absorbed fault.
-
-    ``exhausted="fault"`` with one absorbed fault makes
-    :func:`repro.serve.retry.is_transient` true, so the standing retry
-    machinery spends its one extra attempt on a surviving worker —
-    query failover *is* the ordinary transient-retry path.
+    Renders to exactly the JSON the worker computed (so an unflagged
+    pooled answer is bitwise the single-process one) and reads, for the
+    event log, like the result it was made from: its size, and the
+    traversal tallies a kNN answer carries.
     """
-    report = ResilienceReport()
-    report.mark_incomplete("fault")
-    report.absorbed_faults = 1
-    report.mark_conservative(f"worker unavailable: {detail}")
-    return PartialResult([], report)
+
+    __slots__ = ("value", "size")
+
+    def __init__(self, value: Any, size: int) -> None:
+        self.value = value
+        self.size = size
+
+    def to_dict(self) -> Any:
+        return self.value
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getattr__(self, name: str) -> Any:
+        if isinstance(self.value, dict) and name in self.value:
+            return self.value[name]
+        raise AttributeError(name)
 
 
 def _child_env() -> "dict[str, str]":
@@ -243,8 +215,13 @@ def _child_env() -> "dict[str, str]":
     return env
 
 
-class Supervisor:
-    """The supervisor process: spawn, route, heal, drain."""
+class Supervisor(ServeApp):
+    """The pooled server: a :class:`ServeApp` that also runs workers."""
+
+    # perfbench's tracer wraps these two in this class's own __dict__,
+    # so pooled requests keep their own span name.
+    handle = ServeApp.handle
+    handle_connection = ServeApp.handle_connection
 
     def __init__(self, config: SupervisorConfig) -> None:
         if config.query_workers < 1:
@@ -255,44 +232,53 @@ class Supervisor:
             raise ServeError(
                 "a supervisor needs at least one snapshot or stream shard"
             )
+        super().__init__(
+            policy=TenantPolicy(
+                default_classes(deadline_scale=config.deadline_scale)
+            ),
+            admission=AdmissionController(
+                max_concurrency=config.query_workers,
+                max_queue=config.max_queue,
+            ),
+            event_log=(
+                obs_export.QueryEventLog.open(config.event_log)
+                if config.event_log
+                else None
+            ),
+            drain_s=config.drain_s,
+            seed=config.seed,
+        )
         self.config = config
-        self.policy = TenantPolicy(
-            default_classes(deadline_scale=config.deadline_scale)
-        )
-        self.admission = AdmissionController(
-            max_concurrency=max(config.query_workers, 1),
-            max_queue=config.max_queue,
-        )
-        self.retry_policy = RetryPolicy()
-        self._rng = random.Random(config.seed)
+        # Health and dimension arrive with the workers' handshakes.
+        for sources, mutable in ((config.snapshots, False), (config.streams, True)):
+            for name, source in sources.items():
+                self._indexes[name] = IndexState(
+                    name=name,
+                    index=None,
+                    flat=None,
+                    breaker=self._new_breaker(name),
+                    source=source,
+                    mutable=mutable,
+                )
         self._slots: "list[WorkerSlot]" = []
         self._mutation_slot: "WorkerSlot | None" = None
-        #: index name -> which pool serves it ("query" | "mutation").
-        self._routes: "dict[str, str]" = {}
-        for name in config.snapshots:
-            self._routes[name] = "query"
-        for name in config.streams:
-            self._routes[name] = "mutation"
         #: Per-index highest seq ever acked to a client (the dedup
         #: anchor for crash re-acks).
         self._last_acked: "dict[str, int]" = {}
         self._mutation_gate = asyncio.Lock()
-        self._drain_event = asyncio.Event()
         self._frame_ids = 0
         self._rr = 0
-        self._server: "asyncio.AbstractServer | None" = None
-        self._draining = False
         self._stopping = False
         self._tasks: "set[asyncio.Task[None]]" = set()
         self._heartbeat_task: "asyncio.Task[None] | None" = None
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle: workers start first and stop last
     # ------------------------------------------------------------------
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> "tuple[str, int]":
-        """Spawn the pool, bind the listener; returns (host, port)."""
+        """Spawn the pool, then bind the listener; returns (host, port)."""
         for i in range(self.config.query_workers):
             self._slots.append(WorkerSlot(slot=i, role="query"))
         if self.config.streams:
@@ -302,58 +288,16 @@ class Supervisor:
             self._slots.append(self._mutation_slot)
         await asyncio.gather(*(self._boot(slot) for slot in self._slots))
         self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
-        self._server = await asyncio.start_server(
-            self.handle_connection, host=host, port=port
+        return await super().start(host, port)
+
+    def _banner(self) -> str:
+        return f"supervising {self.config.query_workers} query worker(s)" + (
+            " + 1 mutation worker" if self._mutation_slot else ""
         )
-        bound = self._server.sockets[0].getsockname()
-        return str(bound[0]), int(bound[1])
-
-    async def serve_until_drained(
-        self, host: str = "127.0.0.1", port: int = 8080
-    ) -> None:
-        """The CLI's main coroutine: run until SIGTERM/SIGINT, drain."""
-        bound = await self.start(host, port)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self._request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-Unix loop: Ctrl-C falls back to KeyboardInterrupt
-        print(
-            f"repro serve supervising {self.config.query_workers} query "
-            f"worker(s)"
-            + (" + 1 mutation worker" if self._mutation_slot else "")
-            + f" on {bound[0]}:{bound[1]}",
-            flush=True,
-        )
-        await self._drain_event.wait()
-        await self.drain_and_stop()
-
-    def _request_drain(self) -> None:
-        """The SIGTERM/SIGINT handler: set flags, nothing else (DOM207)."""
-        self._draining = True
-        self._drain_event.set()
-
-    def request_drain(self) -> None:
-        """Programmatic drain trigger (what the signal handler does)."""
-        self._request_drain()
 
     async def drain_and_stop(self) -> None:
-        """Stop accepting, wait out in-flight work, stop the pool."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + max(self.config.drain_s, 0.0)
-        while self.admission.in_flight > 0 and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        if obs.ENABLED:
-            if self.admission.in_flight > 0:
-                obs.incr(names.SERVE_WORKERS_DRAIN_TIMEOUTS)
-            else:
-                obs.incr(names.SERVE_WORKERS_DRAINED)
+        """The :class:`ServeApp` drain, then stop the pool."""
+        await super().drain_and_stop()
         self._stopping = True
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
@@ -398,24 +342,12 @@ class Supervisor:
         task.add_done_callback(self._tasks.discard)
 
     def _worker_config(self, slot: WorkerSlot) -> "dict[str, Any]":
-        shared = {
-            "deadline_scale": self.config.deadline_scale,
-            "seed": self.config.seed + 101 * (slot.slot + 1),
-            "max_concurrency": self.config.worker_max_concurrency,
-            "max_queue": self.config.worker_max_queue,
-        }
-        if slot.role == "mutation":
-            return {
-                "role": "mutation",
-                "streams": dict(self.config.streams),
-                "snapshots": {},
-                **shared,
-            }
+        mutation = slot.role == "mutation"
         return {
-            "role": "query",
-            "snapshots": dict(self.config.snapshots),
-            "streams": {},
-            **shared,
+            "role": slot.role,
+            "snapshots": {} if mutation else dict(self.config.snapshots),
+            "streams": dict(self.config.streams) if mutation else {},
+            "deadline_scale": self.config.deadline_scale,
         }
 
     async def _spawn(self, slot: WorkerSlot) -> None:
@@ -453,7 +385,12 @@ class Supervisor:
             str(k): int(v)
             for k, v in dict(frame.get("last_seq") or {}).items()
         }
-        slot.indexes = dict(frame.get("indexes") or {})
+        for name, info in dict(frame.get("indexes") or {}).items():
+            state = self._indexes.get(name)
+            if state is not None:
+                state.healthy = bool(info.get("healthy"))
+                state.error = info.get("error")
+                state.dimension = info.get("dimension")
         slot.state = "ready"
         if slot.role == "mutation":
             for index, seq in slot.last_seq.items():
@@ -625,49 +562,8 @@ class Supervisor:
                 ) from None
 
     # ------------------------------------------------------------------
-    # Routing
+    # /readyz: quorum
     # ------------------------------------------------------------------
-    async def handle(self, request: HttpRequest) -> HttpResponse:
-        if obs.ENABLED:
-            obs.incr(names.SERVE_REQUESTS)
-        if request.path == "/healthz":
-            return json_response(200, {"status": "ok", "supervisor": True})
-        if request.path == "/readyz":
-            return self._readyz()
-        if request.path == "/metrics":
-            text = obs_export.to_prometheus(obs.collect())
-            return HttpResponse(
-                status=200,
-                body=text.encode("utf-8"),
-                content_type="text/plain; version=0.0.4",
-            )
-        if request.path in ("/query", "/v1/query"):
-            if request.method != "POST":
-                return json_response(
-                    405, {"error": "method_not_allowed", "allow": "POST"}
-                )
-            if self._draining:
-                return self._unavailable_draining()
-            return await self._handle_query(request)
-        if request.path in ("/mutate", "/v1/mutate"):
-            if request.method != "POST":
-                return json_response(
-                    405, {"error": "method_not_allowed", "allow": "POST"}
-                )
-            if self._draining:
-                return self._unavailable_draining()
-            return await self._handle_mutate(request)
-        return json_response(404, {"error": "not_found", "path": request.path})
-
-    def _unavailable_draining(self) -> HttpResponse:
-        if obs.ENABLED:
-            obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
-        return json_response(
-            503,
-            {"error": "draining", "retry_after_s": 1.0},
-            headers={"Retry-After": "1.000"},
-        )
-
     def _live_query(self) -> int:
         return sum(
             1
@@ -692,11 +588,6 @@ class Supervisor:
             and (self._mutation_slot is None or mutation_live)
             and not self._draining
         )
-        indexes: "dict[str, Any]" = {}
-        for slot in self._slots:
-            if slot.state == "ready":
-                for name, info in slot.indexes.items():
-                    indexes.setdefault(name, info)
         payload: "dict[str, Any]" = {
             "ready": ready,
             "draining": self._draining,
@@ -711,305 +602,127 @@ class Supervisor:
                     if self._mutation_slot is not None
                     else None
                 ),
-                "slots": [
-                    {
-                        "slot": s.slot,
-                        "role": s.role,
-                        "state": s.state,
-                        "pid": s.pid,
-                        "restarts": s.restarts,
-                    }
-                    for s in self._slots
-                ],
+                "slots": self.slots_snapshot(),
             },
-            "indexes": indexes,
+            "indexes": {
+                name: state.snapshot() for name, state in self._indexes.items()
+            },
         }
         return json_response(200 if ready else 503, payload)
 
     # ------------------------------------------------------------------
-    # The query path: route, admit, dispatch with failover
+    # The query attempt: one frame, failing over once
     # ------------------------------------------------------------------
-    def _dispatch_allowance_s(self, tenant: TenantClass) -> float:
-        # The worker may spend up to two budgeted attempts internally.
-        return (
-            2.0 * tenant.deadline_ms / 1000.0 + self.config.dispatch_margin_s
-        )
-
-    async def _handle_query(self, request: HttpRequest) -> HttpResponse:
-        started = time.perf_counter()
-        tenant = self.policy.resolve(request.header("x-tenant-class") or None)
-        if obs.ENABLED:
-            obs.incr(names.tenant_outcome(tenant.name, "requests"))
-        try:
-            payload = request.json()
-        except ProtocolError as error:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_REJECTED)
-            return json_response(
-                400, {"error": "validation", "message": str(error)}
-            )
-        index_name = payload.get("index", "default")
-        if not isinstance(index_name, str) or not index_name:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_REJECTED)
-            return json_response(
-                400,
-                {
-                    "error": "validation",
-                    "message": f"index must be a non-empty string, "
-                    f"got {index_name!r}",
-                },
-            )
-        route = self._routes.get(index_name)
-        if route is None:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_REJECTED)
-            return json_response(
-                404,
-                {
-                    "error": "unknown_index",
-                    "index": index_name,
-                    "known": sorted(self._routes),
-                },
-            )
-        decision = self.admission.try_admit(tenant)
-        if not decision.admitted:
-            return self._shed(
-                tenant, decision.reason or "queue_full", decision.retry_after_s
-            )
-        body_text = request.body.decode("utf-8")
-        async with self.admission.slot():
-            settled = await run_with_retry(
-                self._attempt_factory(route, request.path, tenant, body_text),
-                self.retry_policy,
-                self._rng,
-                allow_retry=True,
-                hedge=False,
-            )
-        outcome = settled.outcome
-        if obs.ENABLED:
-            obs.observe(names.SERVE_LATENCY_S, time.perf_counter() - started)
-        if isinstance(outcome, _WorkerReply):
-            self._count_query_status(outcome.status, tenant)
-            return outcome.to_response()
-        # Every attempt lost its worker: an honest 503, never a
-        # fabricated answer (the invariant tolerates 503, not wrong 200s).
-        if obs.ENABLED:
-            obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
-        return json_response(
-            503,
-            {
-                "error": "worker_unavailable",
-                "retry_after_s": self.config.backoff_base_s,
-                "attempts": settled.attempts,
-            },
-            headers={"Retry-After": f"{self.config.backoff_base_s:.3f}"},
-        )
-
-    def _attempt_factory(
-        self, route: str, path: str, tenant: TenantClass, body_text: str
-    ) -> "Any":
-        budget = Budget(deadline_s=self._dispatch_allowance_s(tenant)).start()
-
-        async def attempt() -> "Any":
-            slot = self._pick_slot(route)
-            if slot is None:
-                if obs.ENABLED:
-                    obs.incr(names.SERVE_WORKERS_FAILOVERS)
-                return _worker_fault_outcome(f"no live {route} worker")
-            try:
-                chaos_kill = bool(_kill_probe())
-            except ArithmeticError:
-                chaos_kill = True
-            if chaos_kill:
-                self._kill_slot(slot)
-            remaining = budget.remaining_s()
-            timeout = (
-                remaining
-                if remaining is not None
-                else self.config.dispatch_margin_s
-            )
-            try:
-                reply = await self._dispatch(
-                    slot,
-                    {
-                        "op": "request",
-                        "method": "POST",
-                        "path": path,
-                        "headers": {"x-tenant-class": tenant.name},
-                        "body": body_text,
-                    },
-                    timeout=timeout,
-                )
-            except WorkerUnavailable as error:
-                if obs.ENABLED:
-                    obs.incr(names.SERVE_WORKERS_FAILOVERS)
-                return _worker_fault_outcome(str(error))
-            if reply.get("op") != "response":
-                if obs.ENABLED:
-                    obs.incr(names.SERVE_WORKERS_FAILOVERS)
-                return _worker_fault_outcome(
-                    f"unexpected frame op {reply.get('op')!r}"
-                )
-            return _WorkerReply.from_frame(reply)
-
-        return attempt
-
-    def _pick_slot(self, route: str) -> "WorkerSlot | None":
-        if route == "mutation":
+    def _pick_slot(
+        self, state: IndexState, tried: "list[WorkerSlot]"
+    ) -> "WorkerSlot | None":
+        if state.mutable:
             slot = self._mutation_slot
-            if slot is not None and slot.state == "ready":
+            if slot is not None and slot.state == "ready" and slot not in tried:
                 return slot
             return None
         ready = [
             s
             for s in self._slots
-            if s.role == "query" and s.state == "ready"
+            if s.role == "query" and s.state == "ready" and s not in tried
         ]
         if not ready:
             return None
         self._rr += 1
         return ready[self._rr % len(ready)]
 
-    def _count_query_status(self, status: int, tenant: TenantClass) -> None:
-        if not obs.ENABLED:
-            return
-        if status == 200:
-            obs.incr(names.SERVE_RESPONSES_OK)
-            obs.incr(names.tenant_outcome(tenant.name, "ok"))
-        elif status == 206:
-            obs.incr(names.SERVE_RESPONSES_DEGRADED)
-            obs.incr(names.tenant_outcome(tenant.name, "degraded"))
-        elif status == 429:
-            obs.incr(names.SERVE_RESPONSES_SHED)
-            obs.incr(names.tenant_outcome(tenant.name, "shed"))
-        elif status in (400, 404, 409):
-            obs.incr(names.SERVE_RESPONSES_REJECTED)
-        elif status >= 500:
-            obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
-
-    def _shed(
-        self, tenant: TenantClass, reason: str, retry_after_s: float
-    ) -> HttpResponse:
-        if obs.ENABLED:
-            obs.incr(names.SERVE_RESPONSES_SHED)
-            obs.incr(names.tenant_outcome(tenant.name, "shed"))
-        retry_after = max(retry_after_s, 0.05)
-        return json_response(
-            429,
-            {
-                "error": "shed",
-                "reason": reason,
-                "retry_after_s": retry_after,
-                "tenant_class": tenant.name,
-            },
-            headers={"Retry-After": f"{retry_after:.3f}"},
-        )
-
-    # ------------------------------------------------------------------
-    # The mutation path: serialize, dispatch, dedup on crash
-    # ------------------------------------------------------------------
-    async def _handle_mutate(self, request: HttpRequest) -> HttpResponse:
-        tenant = self.policy.resolve(request.header("x-tenant-class") or None)
-        if obs.ENABLED:
-            obs.incr(names.SERVE_MUTATIONS)
-            obs.incr(names.tenant_outcome(tenant.name, "requests"))
-        try:
-            payload = request.json()
-        except ProtocolError as error:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_MUTATIONS_REJECTED)
-            return json_response(
-                400, {"error": "validation", "message": str(error)}
-            )
-        index_name = payload.get("index", "default")
-        if not isinstance(index_name, str) or not index_name:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_MUTATIONS_REJECTED)
-            return json_response(
-                400,
-                {
-                    "error": "validation",
-                    "message": f"index must be a non-empty string, "
-                    f"got {index_name!r}",
-                },
-            )
-        route = self._routes.get(index_name)
-        if route is None:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_MUTATIONS_REJECTED)
-            return json_response(
-                404,
-                {
-                    "error": "unknown_index",
-                    "index": index_name,
-                    "known": sorted(self._routes),
-                },
-            )
-        if route != "mutation":
-            if obs.ENABLED:
-                obs.incr(names.SERVE_MUTATIONS_REJECTED)
-            return json_response(
-                409,
-                {
-                    "error": "immutable_index",
-                    "index": index_name,
-                    "message": "index is a frozen snapshot shard; serve it "
-                    "with --stream to accept mutations",
-                },
-            )
-        decision = self.admission.try_admit(tenant)
-        if not decision.admitted:
-            return self._shed(
-                tenant, decision.reason or "queue_full", decision.retry_after_s
-            )
+    async def _attempt(
+        self,
+        state: IndexState,
+        tenant: TenantClass,
+        params: "dict[str, Any]",
+    ) -> Any:
+        """One attempt as one frame; re-sent once if its worker is lost."""
+        query: Hypersphere = params["query"]
         frame = {
-            "op": "request",
-            "method": "POST",
-            "path": request.path,
-            "headers": {"x-tenant-class": tenant.name},
-            "body": request.body.decode("utf-8"),
+            "op": "query",
+            "tenant": tenant.name,
+            "params": {
+                **{k: v for k, v in params.items() if k != "query"},
+                "center": query.center.tolist(),
+                "radius": float(query.radius),
+            },
         }
-        timeout = self._dispatch_allowance_s(tenant)
-        async with self.admission.slot():
-            # One mutation in flight, ever: the serialization that makes
-            # the crash-recovery seq comparison exact.
-            async with self._mutation_gate:
-                slot = self._mutation_slot
-                assert slot is not None  # route == "mutation" implies it
-                try:
-                    reply = await self._dispatch(slot, frame, timeout=timeout)
-                except WorkerUnavailable:
-                    return await self._recover_mutation(
-                        slot, index_name, payload, frame, timeout
-                    )
-                return self._finish_mutation(index_name, reply)
-
-    def _finish_mutation(
-        self, index_name: str, reply: "Mapping[str, Any]"
-    ) -> HttpResponse:
-        result = _WorkerReply.from_frame(reply)
-        if result.status == 200:
+        timeout = tenant.deadline_ms / 1000.0 + self.config.dispatch_margin_s
+        tried: "list[WorkerSlot]" = []
+        while len(tried) < 2:
+            slot = self._pick_slot(state, tried)
+            if slot is None:
+                break
+            if tried and obs.ENABLED:
+                obs.incr(names.SERVE_WORKERS_FAILOVERS)
+            tried.append(slot)
             try:
-                seq = int(json.loads(result.body).get("seq", 0))
-            except (ValueError, AttributeError):
-                seq = 0
-            if seq > 0:
-                self._last_acked[index_name] = max(
-                    self._last_acked.get(index_name, 0), seq
+                chaos_kill = bool(_kill_probe())
+            except ArithmeticError:
+                chaos_kill = True
+            if chaos_kill:
+                self._kill_slot(slot)
+            try:
+                reply = await self._dispatch(slot, frame, timeout)
+            except WorkerUnavailable:
+                continue
+            error = reply.get("error")
+            if error == "unavailable":
+                continue
+            if error == "validation":
+                raise ValidationError(str(reply.get("message")))
+            if error is not None:
+                raise ServeError(f"{error}: {reply.get('message')}")
+            answer = _Answer(reply.get("value"), int(reply.get("size", 0)))
+            report = reply.get("report")
+            if report is None:
+                return answer
+            return PartialResult(answer, ResilienceReport.from_dict(report))
+        raise WorkerUnavailable(f"no worker answered for index {state.name!r}")
+
+    # ------------------------------------------------------------------
+    # The mutation: serialize, dispatch, dedup on crash
+    # ------------------------------------------------------------------
+    async def _mutate(
+        self, state: IndexState, op: str, key: Any, sphere: "Hypersphere | None"
+    ) -> "dict[str, Any]":
+        mutation: "dict[str, Any]" = {"op": op, "key": key}
+        if sphere is not None:
+            mutation["center"] = sphere.center.tolist()
+            mutation["radius"] = float(sphere.radius)
+        frame = {"op": "mutate", "index": state.name, "mutation": mutation}
+        timeout = self.policy.resolve(None).deadline_ms / 1000.0 + (
+            self.config.dispatch_margin_s
+        )
+        # One mutation in flight, ever: the serialization that makes
+        # the crash-recovery seq comparison exact.
+        async with self._mutation_gate:
+            slot = self._mutation_slot
+            assert slot is not None  # state.mutable implies it
+            try:
+                reply = await self._dispatch(slot, frame, timeout=timeout)
+            except WorkerUnavailable:
+                return await self._recover_mutation(
+                    slot, state.name, frame, timeout
                 )
-            if obs.ENABLED:
-                obs.incr(names.SERVE_MUTATIONS_ACKED)
-        return result.to_response()
+            return self._acked(state.name, reply)
+
+    def _acked(self, index: str, reply: "Mapping[str, Any]") -> "dict[str, Any]":
+        """The ack of one mutation reply; a failed append raises."""
+        if reply.get("op") != "acked":
+            raise StreamError(str(reply.get("message")))
+        seq = int(reply["seq"])
+        self._last_acked[index] = max(self._last_acked.get(index, 0), seq)
+        return {"seq": seq}
 
     async def _recover_mutation(
         self,
         slot: WorkerSlot,
-        index_name: str,
-        payload: "Mapping[str, Any]",
+        index: str,
         frame: "dict[str, Any]",
         timeout: float,
-    ) -> HttpResponse:
+    ) -> "dict[str, Any]":
         """Mutation-worker death with one in-flight mutation: dedup.
 
         The respawned worker's handshake carries the WAL's recovered
@@ -1020,54 +733,25 @@ class Supervisor:
         it once.  The comparison is exact *because* mutations are
         serialized through :attr:`_mutation_gate`.
         """
-        ready = await self._await_slot_ready(
+        if not await self._await_slot_ready(
             slot, self.config.mutation_failover_s
-        )
-        if not ready:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
-            return json_response(
-                503,
-                {
-                    "error": "mutation_failed",
-                    "acked": False,
-                    "message": "mutation worker did not recover in time",
-                },
-            )
-        last_acked = self._last_acked.get(index_name, 0)
-        recovered_seq = slot.last_seq.get(index_name, 0)
-        if recovered_seq > last_acked:
-            self._last_acked[index_name] = recovered_seq
+        ):
+            raise WorkerUnavailable("mutation worker did not recover in time")
+        recovered_seq = slot.last_seq.get(index, 0)
+        if recovered_seq > self._last_acked.get(index, 0):
+            self._last_acked[index] = recovered_seq
             if obs.ENABLED:
                 obs.incr(names.SERVE_WORKERS_MUTATIONS_REACKED)
-                obs.incr(names.SERVE_MUTATIONS_ACKED)
-            return json_response(
-                200,
-                {
-                    "acked": True,
-                    "seq": recovered_seq,
-                    "op": payload.get("op"),
-                    "key": payload.get("key"),
-                    "index": index_name,
-                    "recovered": True,
-                },
-            )
+            return {"seq": recovered_seq, "recovered": True}
         if obs.ENABLED:
             obs.incr(names.SERVE_WORKERS_MUTATIONS_RESENT)
         try:
-            reply = await self._dispatch(slot, dict(frame), timeout=timeout)
+            reply = await self._dispatch(slot, frame, timeout=timeout)
         except WorkerUnavailable:
-            if obs.ENABLED:
-                obs.incr(names.SERVE_RESPONSES_UNAVAILABLE)
-            return json_response(
-                503,
-                {
-                    "error": "mutation_failed",
-                    "acked": False,
-                    "message": "mutation worker died twice in one request",
-                },
-            )
-        return self._finish_mutation(index_name, reply)
+            raise WorkerUnavailable(
+                "mutation worker died twice in one request"
+            ) from None
+        return self._acked(index, reply)
 
     async def _await_slot_ready(
         self, slot: WorkerSlot, timeout_s: float
@@ -1081,51 +765,6 @@ class Supervisor:
                 return False
             await asyncio.sleep(0.02)
         return bool(slot.state == "ready")
-
-    # ------------------------------------------------------------------
-    # Connection plumbing (mirrors ServeApp.handle_connection)
-    # ------------------------------------------------------------------
-    async def handle_connection(
-        self, reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
-    ) -> None:
-        try:
-            try:
-                request = await asyncio.wait_for(
-                    read_request(reader), timeout=_READ_TIMEOUT_S
-                )
-            except asyncio.TimeoutError:
-                if obs.ENABLED:
-                    obs.incr(names.SERVE_PROTOCOL_ERRORS)
-                await write_response(
-                    writer, json_response(408, {"error": "request_timeout"})
-                )
-                return
-            except ProtocolError as error:
-                if obs.ENABLED:
-                    obs.incr(names.SERVE_PROTOCOL_ERRORS)
-                status = int(getattr(error, "status", 400))
-                await write_response(
-                    writer,
-                    json_response(
-                        status, {"error": "protocol", "message": str(error)}
-                    ),
-                )
-                return
-            try:
-                response = await self.handle(request)
-            except ReproError as error:
-                response = json_response(
-                    500, {"error": type(error).__name__, "message": str(error)}
-                )
-            await write_response(writer, response)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # the client hung up; nothing to answer
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     # ------------------------------------------------------------------
     # Introspection (tests, smoke, bench)
@@ -1151,62 +790,3 @@ class Supervisor:
             }
             for s in self._slots
         ]
-
-
-def run_supervisor(
-    *,
-    workers: int,
-    snapshots: "Mapping[str, str]",
-    streams: "Mapping[str, str]",
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    drain_ms: float = 2000.0,
-    deadline_scale: float = 1.0,
-    max_queue: int = 32,
-    seed: int = 0,
-    n: int = 400,
-    dimension: int = 3,
-) -> int:
-    """The ``repro serve --workers N`` entry point (blocking).
-
-    With neither snapshots nor streams, a synthetic SS-tree snapshot is
-    materialised into a temporary directory so the workers have a
-    shared read-only shard to load — the same fixture the
-    single-process server builds in memory.
-    """
-    import shutil
-    import tempfile
-
-    snapshots = dict(snapshots)
-    streams = dict(streams)
-    scratch: "str | None" = None
-    if not snapshots and not streams:
-        from repro.data.synthetic import synthetic_dataset
-        from repro.index import snapshot as snapshot_io
-        from repro.index.sstree import SSTree
-
-        scratch = tempfile.mkdtemp(prefix="repro-serve-workers-")
-        dataset = synthetic_dataset(n, dimension, seed=seed)
-        tree = SSTree.bulk_load(dataset.items())
-        path = os.path.join(scratch, "default.snap")
-        snapshot_io.save(tree, path)
-        snapshots["default"] = path
-    supervisor = Supervisor(
-        SupervisorConfig(
-            query_workers=workers,
-            snapshots=snapshots,
-            streams=streams,
-            deadline_scale=deadline_scale,
-            seed=seed,
-            max_queue=max_queue,
-            drain_s=max(drain_ms, 0.0) / 1000.0,
-        )
-    )
-    try:
-        asyncio.run(supervisor.serve_until_drained(host, port))
-    except KeyboardInterrupt:  # pragma: no cover - no-signal-handler path
-        print("interrupted; shutting down", file=sys.stderr)
-    finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
-    return 0

@@ -1,42 +1,44 @@
 """One supervised serving worker (``python -m repro.serve.worker``).
 
-The multi-process front end (:mod:`repro.serve.supervisor`) forks N of
-these as child processes.  Each worker builds a full private
-:class:`~repro.serve.app.ServeApp` — budgets, breakers, retries and
-206-shaping all behave exactly as in the single-process server, which
-is what makes the chaos suite's bitwise-baseline comparison possible —
-and then serves length-prefixed JSON frames
-(:func:`repro.serve.protocol.read_frame`) off its **stdin**, answering
-on its **stdout**.  stderr passes through to the supervisor for
-operator logs.
+The pooled server (:class:`repro.serve.supervisor.Supervisor`) forks N
+of these as child processes.  The supervisor has already parsed,
+routed, admitted, breaker-checked and (if need be) retried each
+request, so a worker does none of that: it reads one length-prefixed
+JSON frame (:func:`repro.serve.protocol.read_frame`) off its
+**stdin**, runs one query attempt or one WAL append, and writes one
+frame back on its **stdout**.  stderr passes through to the
+supervisor for operator logs.
 
-The child side is deliberately a plain synchronous loop: the
-supervisor dispatches at most one request at a time per worker (the
-pipe is the queue), so there is nothing to overlap and nothing for the
-async-blocking lint rules to police.  Each request frame is executed
-by driving the app's own async ``handle`` on a private event loop, and
-the query attempt or mutation it admits runs right there, on the
-thread that read the frame, under a copy of the request's context
-(:class:`_FrameThreadApp`).  No executor thread is started: a hop to
-one and back would only add latency to a worker that never has a
-second request to run meanwhile.
+A query attempt is the single-process server's own attempt body,
+:func:`repro.serve.app.run_attempt` (mint the tenant's budget, the
+``handler`` seam, ``_execute_query``, absorb ``ArithmeticError``), so a
+pooled answer is bitwise the single-process one.  It runs right on the
+thread that read the frame: the supervisor sends one frame at a time
+per worker (the pipe is the queue), so there is nothing to overlap.
 
-Frame vocabulary (all objects carry the caller's ``id`` back):
+Frame vocabulary (every reply carries the request's ``id`` back):
 
-- ``{"op": "ready"}`` — sent once by the worker after boot, carrying
-  ``pid``, ``role``, per-index health and, for streaming indexes, the
-  recovered ``last_seq`` high-water mark.  The supervisor uses the
-  seq hint to decide, after a mutation-worker crash, whether the
-  in-flight mutation became durable (re-ack) or not (resend) — see
-  ``docs/serving.md``.
-- ``{"op": "ping", "id": n}`` → ``{"op": "pong", "id": n}`` —
-  heartbeat.
-- ``{"op": "request", "id": n, "method", "path", "headers", "body"}``
-  → ``{"op": "response", "id": n, "status", "content_type",
-  "headers", "body"}`` — one HTTP exchange by proxy.
-- ``{"op": "shutdown", "id": n}`` → ``{"op": "bye", "id": n}`` —
-  graceful exit (drain is the supervisor's business; the worker is
-  idle by construction when it reads a frame).
+- ``{"op": "ready"}`` — sent once after boot, carrying ``pid``,
+  ``role``, per-index ``healthy``/``error``/``dimension`` and, for
+  streaming indexes, the recovered ``last_seq`` high-water mark.  The
+  supervisor uses the seq hint to decide, after a mutation-worker
+  crash, whether the in-flight mutation became durable (re-ack) or not
+  (resend) — see ``docs/serving.md``.
+- ``{"op": "query", "tenant", "params"}`` → ``{"op": "answer",
+  "value", "report", "size"}``: the outcome's
+  :meth:`~repro.resilience.partial.PartialResult.to_dict` form
+  (``report`` null for an unbudgeted answer) plus its length, or
+  ``{"op": "error", "error": "validation", "message"}`` (a 400), or
+  ``"error": "unavailable"`` when this worker holds the index
+  quarantined (the supervisor tries another worker), or the type name
+  of any other library error (a 500).
+- ``{"op": "mutate", "index", "mutation"}`` → ``{"op": "acked",
+  "seq"}`` once the record is fsynced, or ``{"op": "error", "error":
+  "stream", "message"}`` when the append failed (a 503, not acked).
+- ``{"op": "ping"}`` → ``{"op": "pong"}`` — heartbeat.
+- ``{"op": "shutdown"}`` → ``{"op": "bye"}`` — graceful exit (drain is
+  the supervisor's business; the worker is idle by construction when
+  it reads a frame).
 
 A ``mutation``-role worker opens its streaming directories with the
 exclusive WAL owner lock (:mod:`repro.stream.wal`), so a respawned
@@ -45,63 +47,45 @@ worker can never race a wedged predecessor for the log.
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
 import json
 import os
 import sys
-from typing import Any, BinaryIO, Callable, Mapping, Sequence, TypeVar
+from typing import Any, BinaryIO, Mapping, Sequence
 
 from repro import obs
-from repro.exceptions import ProtocolError, ReproError
-from repro.serve.admission import AdmissionController
-from repro.serve.app import ServeApp
-from repro.serve.protocol import (
-    HttpRequest,
-    encode_frame,
-    json_response,
-    read_frame,
+from repro.exceptions import ProtocolError, ReproError, ValidationError
+from repro.queries.validation import validate_mutation
+from repro.resilience.partial import PartialResult, to_jsonable
+from repro.serve.app import (
+    ServeApp,
+    _parse_query_payload,
+    apply_mutation,
+    run_attempt,
 )
+from repro.serve.protocol import encode_frame, read_frame
 from repro.serve.tenancy import TenantPolicy, default_classes
 
 __all__ = ["build_worker_app", "main", "serve_frames"]
 
-_T = TypeVar("_T")
-
-
-class _FrameThreadApp(ServeApp):
-    """A :class:`ServeApp` that runs each request on the calling thread.
-
-    Budgets, deadlines and fault scopes still travel in a copy of the
-    request's context, exactly as across the single-process server's
-    executor hop; the executor itself is never used.
-    """
-
-    async def _run_sync(self, work: "Callable[[], _T]") -> "_T":
-        return contextvars.copy_context().run(work)
-
 
 def build_worker_app(config: "Mapping[str, Any]") -> ServeApp:
-    """One :class:`ServeApp` from the supervisor's JSON worker config.
+    """The worker's indexes and tenant classes, from its JSON config.
 
     Query workers get the (shared, read-only) snapshot shards; the
     mutation worker gets the streaming directories and takes the
     exclusive WAL owner lock on each.  Corruption quarantines exactly
     as in the single-process server — the worker still boots and
-    reports the index unhealthy in its handshake.
+    reports the index unhealthy in its handshake.  The app's own
+    :meth:`~ServeApp.handle` also answers in process (perfbench replays
+    live requests through it).
     """
     exclusive = config.get("role") == "mutation"
-    app = _FrameThreadApp(
+    app = ServeApp(
         policy=TenantPolicy(
             default_classes(
                 deadline_scale=float(config.get("deadline_scale", 1.0))
             )
-        ),
-        admission=AdmissionController(
-            max_concurrency=int(config.get("max_concurrency", 2)),
-            max_queue=int(config.get("max_queue", 8)),
-        ),
-        seed=int(config.get("seed", 0)),
+        )
     )
     for name, directory in dict(config.get("streams") or {}).items():
         state = app.load_stream(str(name), str(directory), exclusive=exclusive)
@@ -126,7 +110,11 @@ def _handshake(app: ServeApp, role: str) -> "dict[str, Any]":
     indexes: "dict[str, Any]" = {}
     last_seq: "dict[str, int]" = {}
     for name, state in app.indexes.items():
-        indexes[name] = {"healthy": state.healthy, "mutable": state.mutable}
+        indexes[name] = {
+            "healthy": state.healthy,
+            "error": state.error,
+            "dimension": state.dimension,
+        }
         if state.stream is not None:
             last_seq[name] = state.stream.last_seq
     return {
@@ -138,49 +126,55 @@ def _handshake(app: ServeApp, role: str) -> "dict[str, Any]":
     }
 
 
+def _query(app: ServeApp, frame: "Mapping[str, Any]") -> "dict[str, Any]":
+    """One query attempt: the answer, or why there is none."""
+    try:
+        params = _parse_query_payload(dict(frame.get("params") or {}))
+        state = app.indexes.get(params["index"])
+        if state is None or state.quarantined:
+            # Healthy at the front, not here: another worker may serve it.
+            return {"op": "error", "error": "unavailable", "message": ""}
+        tenant = app.policy.resolve(frame.get("tenant"))
+        outcome = run_attempt(state, tenant, params)
+    except ValidationError as error:
+        return {"op": "error", "error": "validation", "message": str(error)}
+    except ReproError as error:
+        # A typed library failure is this request's 500, not the
+        # worker's death.
+        return {"op": "error", "error": type(error).__name__, "message": str(error)}
+    if isinstance(outcome, PartialResult):
+        reply = outcome.to_dict()
+    else:
+        reply = {"value": to_jsonable(outcome), "report": None}
+    return {"op": "answer", "size": len(outcome), **reply}
+
+
+def _mutate(app: ServeApp, frame: "Mapping[str, Any]") -> "dict[str, Any]":
+    """One WAL append, acked only once it is fsynced."""
+    state = app.indexes.get(str(frame.get("index")))
+    try:
+        if state is None or state.stream is None:
+            raise ReproError(f"index {frame.get('index')!r} is not streamed here")
+        op, key, sphere = validate_mutation(
+            frame.get("mutation"), state.stream.dimension
+        )
+        seq = apply_mutation(state.stream, op, key, sphere)
+    except (ReproError, OSError, ArithmeticError) as error:
+        return {
+            "op": "error",
+            "error": "stream",
+            "message": f"{type(error).__name__}: {error}",
+        }
+    return {"op": "acked", "seq": seq}
+
+
 def _send(stdout: "BinaryIO", payload: "Mapping[str, Any]") -> None:
     stdout.write(encode_frame(payload))
     stdout.flush()
 
 
-def _serve_request(
-    app: ServeApp,
-    loop: "asyncio.AbstractEventLoop",
-    frame: "Mapping[str, Any]",
-) -> "dict[str, Any]":
-    headers = {
-        str(key).lower(): str(value)
-        for key, value in dict(frame.get("headers") or {}).items()
-    }
-    request = HttpRequest(
-        method=str(frame.get("method", "POST")),
-        path=str(frame.get("path", "/query")),
-        query={},
-        headers=headers,
-        body=str(frame.get("body", "")).encode("utf-8"),
-    )
-    try:
-        response = loop.run_until_complete(app.handle(request))
-    except ReproError as error:
-        response = json_response(
-            500, {"error": type(error).__name__, "message": str(error)}
-        )
-    return {
-        "op": "response",
-        "id": frame.get("id"),
-        "status": response.status,
-        "content_type": response.content_type,
-        "headers": dict(response.headers),
-        "body": response.body.decode("utf-8"),
-    }
-
-
 def serve_frames(
-    app: ServeApp,
-    loop: "asyncio.AbstractEventLoop",
-    stdin: "BinaryIO",
-    stdout: "BinaryIO",
-    role: str,
+    app: ServeApp, stdin: "BinaryIO", stdout: "BinaryIO", role: str
 ) -> None:
     """The worker's whole life: handshake, then frames until EOF."""
     _send(stdout, _handshake(app, role))
@@ -194,25 +188,18 @@ def serve_frames(
         if frame is None:
             break
         op = frame.get("op")
-        if op == "ping":
-            _send(
-                stdout,
-                {"op": "pong", "id": frame.get("id"), "pid": os.getpid()},
-            )
-        elif op == "request":
-            _send(stdout, _serve_request(app, loop, frame))
+        if op == "query":
+            reply = _query(app, frame)
+        elif op == "mutate":
+            reply = _mutate(app, frame)
+        elif op == "ping":
+            reply = {"op": "pong", "pid": os.getpid()}
         elif op == "shutdown":
             _send(stdout, {"op": "bye", "id": frame.get("id")})
             break
         else:
-            _send(
-                stdout,
-                {
-                    "op": "error",
-                    "id": frame.get("id"),
-                    "message": f"unknown op {op!r}",
-                },
-            )
+            reply = {"op": "error", "error": "protocol", "message": f"unknown op {op!r}"}
+        _send(stdout, {**reply, "id": frame.get("id")})
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -231,19 +218,18 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     if not isinstance(config, dict):
         print("worker: config must be a JSON object", file=sys.stderr)
         return 2
-    role = str(config.get("role", "query"))
     obs.enable()
     try:
         app = build_worker_app(config)
     except ReproError as error:
         print(f"worker: boot failed: {error}", file=sys.stderr)
         return 1
-    loop = asyncio.new_event_loop()
     try:
-        serve_frames(app, loop, sys.stdin.buffer, sys.stdout.buffer, role)
+        serve_frames(
+            app, sys.stdin.buffer, sys.stdout.buffer, str(config.get("role", "query"))
+        )
     finally:
-        loop.close()
-        app.close()
+        app.close(drain_s=0.0)
     return 0
 
 

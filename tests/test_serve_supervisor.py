@@ -21,15 +21,17 @@ import time
 import pytest
 
 from repro import obs
-from repro.exceptions import ProtocolError, ServeError, WalError
+from repro.exceptions import ProtocolError, ServeError, StreamError, WalError
 from repro.obs import names
 from repro.resilience.budget import Budget
+from repro.resilience.partial import PartialResult, ResilienceReport
 from repro.robust import faults
 from repro.serve.admission import AdmissionController
 from repro.serve.app import ServeApp
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    HttpRequest,
     encode_frame,
     read_frame,
     read_frame_async,
@@ -38,7 +40,7 @@ from repro.serve.supervisor import (
     Supervisor,
     SupervisorConfig,
     WorkerSlot,
-    _worker_fault_outcome,
+    WorkerUnavailable,
 )
 from repro.serve.retry import is_transient
 from repro.serve.tenancy import TenantPolicy, default_classes
@@ -46,59 +48,131 @@ from repro.stream.wal import WriteAheadLog
 
 
 # ----------------------------------------------------------------------
-# The worker's thread model
+# The worker's frame path (in process, no subprocess)
 # ----------------------------------------------------------------------
+def serve_in_process(app, frames, role):
+    """Run ``serve_frames`` over *frames*; the replies and new threads."""
+    from repro.serve.worker import serve_frames
+
+    stdin = io.BytesIO(b"".join(encode_frame(frame) for frame in frames))
+    stdout = io.BytesIO()
+    before = set(threading.enumerate())
+    try:
+        serve_frames(app, stdin, stdout, role)
+        started = [
+            thread.name
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("repro-serve")
+        ]
+    finally:
+        app.close(drain_s=0.0)
+    stdout.seek(0)
+    replies = []
+    while (frame := read_frame(stdout)) is not None:
+        replies.append(frame)
+    return replies, started
+
+
 class TestWorkerFrameThread:
+    @pytest.fixture()
+    def query_worker(self, tmp_path):
+        from repro.data.synthetic import synthetic_dataset
+        from repro.index import snapshot as snapshot_io
+        from repro.index.sstree import SSTree
+        from repro.serve.worker import build_worker_app
+
+        path = str(tmp_path / "shard.snap")
+        tree = SSTree.bulk_load(synthetic_dataset(40, 3, seed=3).items())
+        snapshot_io.save(tree, path)
+        return build_worker_app({"role": "query", "snapshots": {"default": path}})
+
+    @staticmethod
+    def query_frame(frame_id, center, tenant="standard"):
+        return {
+            "op": "query", "id": frame_id, "tenant": tenant,
+            "params": {
+                "kind": "knn", "index": "default", "center": center,
+                "radius": 1.0, "k": 3, "criterion": "hyperbola",
+            },
+        }
+
     def test_requests_run_on_the_frame_thread(self, tmp_path):
         # A worker serves one frame at a time, so its query attempts and
         # mutations run on the thread that read the frame: no executor
         # thread is ever started.
         from repro.data.synthetic import synthetic_dataset
         from repro.stream.engine import StreamingIndex
-        from repro.serve.worker import build_worker_app, serve_frames
+        from repro.serve.worker import build_worker_app
 
         directory = str(tmp_path / "live")
         items = list(synthetic_dataset(40, 2, seed=3).items())
         StreamingIndex.create(directory, items, kind="sstree").close()
-        query = {
-            "kind": "rknn", "index": "live", "center": [100.0, 100.0], "radius": 2.0,
-        }
-        mutation = {
-            "index": "live", "op": "insert", "key": "fresh",
-            "center": [90.0, 95.0], "radius": 1.0,
-        }
         frames = [
-            {"op": "request", "id": 1, "method": "POST", "path": "/query",
-             "headers": {}, "body": json.dumps(query)},
-            {"op": "request", "id": 2, "method": "POST", "path": "/mutate",
-             "headers": {}, "body": json.dumps(mutation)},
+            {"op": "query", "id": 1, "tenant": "standard",
+             "params": {"kind": "rknn", "index": "live", "center": [100.0, 100.0],
+                        "radius": 2.0, "k": 1, "criterion": "hyperbola"}},
+            {"op": "mutate", "id": 2, "index": "live",
+             "mutation": {"op": "insert", "key": "fresh",
+                          "center": [90.0, 95.0], "radius": 1.0}},
             {"op": "shutdown", "id": 3},
         ]
-        stdin = io.BytesIO(b"".join(encode_frame(frame) for frame in frames))
-        stdout = io.BytesIO()
-        before = set(threading.enumerate())
         app = build_worker_app({"role": "mutation", "streams": {"live": directory}})
-        loop = asyncio.new_event_loop()
-        try:
-            serve_frames(app, loop, stdin, stdout, "mutation")
-            started = [
-                thread.name
-                for thread in set(threading.enumerate()) - before
-                if thread.name.startswith("repro-serve")
-            ]
-        finally:
-            loop.close()
-            app.close()
-        stdout.seek(0)
-        replies = []
-        while (frame := read_frame(stdout)) is not None:
-            replies.append(frame)
+        replies, started = serve_in_process(app, frames, "mutation")
         assert [reply["op"] for reply in replies] == [
-            "ready", "response", "response", "bye",
+            "ready", "answer", "acked", "bye",
         ]
-        assert [reply["status"] for reply in replies[1:3]] == [200, 200]
-        assert json.loads(replies[2]["body"])["acked"] is True
+        assert replies[0]["indexes"]["live"]["dimension"] == 2
+        assert [reply["id"] for reply in replies[1:]] == [1, 2, 3]
+        assert replies[1]["report"]["degraded"] is False
+        assert replies[1]["size"] == len(replies[1]["value"])
+        assert replies[2]["seq"] == replies[0]["last_seq"]["live"] + 1
         assert started == []
+
+    def test_wrong_dimension_is_a_validation_reply_and_serving_goes_on(
+        self, query_worker
+    ):
+        frames = [
+            self.query_frame(1, [1.0, 2.0]),  # the shard is 3-d
+            self.query_frame(2, [100.0, 100.0, 100.0]),
+            {"op": "shutdown", "id": 3},
+        ]
+        replies, _ = serve_in_process(query_worker, frames, "query")
+        assert replies[1]["op"] == "error"
+        assert replies[1]["error"] == "validation"
+        assert "dimension" in replies[1]["message"]
+        assert replies[2]["op"] == "answer"
+        assert replies[2]["size"] == len(replies[2]["value"]["keys"]) >= 3
+
+    def test_a_library_error_is_a_typed_reply_not_a_dead_worker(
+        self, query_worker, monkeypatch
+    ):
+        import repro.serve.app as app_module
+
+        def closed(state, params):
+            raise StreamError("streaming index is closed")
+
+        monkeypatch.setattr(app_module, "_execute_query", closed)
+        frames = [self.query_frame(1, [100.0, 100.0, 100.0]), {"op": "ping", "id": 2}]
+        replies, _ = serve_in_process(query_worker, frames, "query")
+        assert replies[1]["op"] == "error"
+        assert replies[1]["error"] == "StreamError"
+        assert replies[2]["op"] == "pong"
+
+    def test_handler_fault_reply_is_transient_so_the_front_retries(
+        self, query_worker
+    ):
+        frames = [self.query_frame(1, [100.0, 100.0, 100.0])]
+        with faults.inject("handler", "raise"):
+            replies, _ = serve_in_process(query_worker, frames, "query")
+        reply = replies[1]
+        assert reply["op"] == "answer"
+        assert reply["value"] == [] and reply["size"] == 0
+        assert reply["report"]["exhausted"] == "fault"
+        assert reply["report"]["absorbed_faults"] == 1
+        outcome = PartialResult(
+            reply["value"], ResilienceReport.from_dict(reply["report"])
+        )
+        assert is_transient(outcome)
 
 
 # ----------------------------------------------------------------------
@@ -357,12 +431,66 @@ class TestSupervisorValidation:
             Supervisor(SupervisorConfig(query_workers=1))
 
 
-class TestWorkerFaultOutcome:
-    def test_is_transient_so_retry_fails_over(self):
-        outcome = _worker_fault_outcome("worker 123 closed its pipe")
-        assert is_transient(outcome)
-        assert outcome.report.absorbed_faults == 1
-        assert outcome.report.exhausted == "fault"
+def query_request(body=None):
+    return HttpRequest(
+        method="POST", path="/query", query={}, headers={},
+        body=json.dumps(body or {
+            "kind": "knn", "index": "default",
+            "center": [0.0, 0.0, 0.0], "radius": 0.1, "k": 2,
+        }).encode(),
+    )
+
+
+class TestPoolFailover:
+    def _pool(self, answering):
+        """Two ready query slots; *answering* slot numbers reply."""
+        sup = make_supervisor(query_workers=2)
+        for i in range(2):
+            sup._slots.append(WorkerSlot(slot=i, role="query", state="ready"))
+        sent: "list[int]" = []
+
+        async def fake_dispatch(slot, frame, timeout):
+            sent.append(slot.slot)
+            if slot.slot not in answering:
+                raise WorkerUnavailable(f"worker {slot.slot} lost")
+            return {
+                "op": "answer", "id": frame.get("id"), "report": None,
+                "value": {"keys": [7, 9], "distk": 0.5}, "size": 2,
+            }
+
+        sup._dispatch = fake_dispatch  # type: ignore[method-assign]
+        return sup, sent
+
+    def test_a_lost_dispatch_is_resent_once_to_the_other_worker(self):
+        sup, sent = self._pool(answering={0})
+        sup._rr = 0  # round robin picks slot 1 first
+        with obs.enabled_scope(True), obs.scope():
+            response = asyncio.run(sup.handle(query_request()))
+            counters = obs.collect()["counters"]
+        assert sent == [1, 0]
+        assert response.status == 200
+        body = json.loads(response.body)
+        assert body["result"] == {"keys": [7, 9], "distk": 0.5}
+        assert body["degraded"] is False and body["attempts"] == 1
+        assert counters.get(names.SERVE_WORKERS_FAILOVERS) == 1
+
+    def test_no_worker_answering_is_a_503_that_spares_the_breaker(self):
+        sup, sent = self._pool(answering=set())
+
+        async def go():
+            return [await sup.handle(query_request()) for _ in range(6)]
+
+        with obs.enabled_scope(True), obs.scope():
+            responses = asyncio.run(go())
+            counters = obs.collect()["counters"]
+        assert len(sent) == 12  # each request: one dispatch, one re-send
+        for response in responses:
+            assert response.status == 503
+            assert json.loads(response.body)["error"] == "worker_unavailable"
+            assert float(response.headers["Retry-After"]) > 0.0
+        assert counters.get(names.SERVE_WORKERS_FAILOVERS) == 6
+        # Six lost workers in a row are not index damage.
+        assert sup.indexes["default"].breaker.state is BreakerState.CLOSED
 
 
 class TestRespawnFlapCap:
@@ -397,6 +525,11 @@ class TestRespawnFlapCap:
 
 
 class TestMutationSeqDedup:
+    MUTATION = {
+        "index": "live", "op": "insert", "key": "k9",
+        "center": [1.0, 2.0, 3.0], "radius": 0.5,
+    }
+
     def _sup_with_mutation_slot(self, last_acked: int, recovered: int):
         sup = make_supervisor(
             query_workers=1,
@@ -410,29 +543,40 @@ class TestMutationSeqDedup:
         sup._last_acked["live"] = last_acked
         return sup, slot
 
+    def _mutate(self, sup, replies):
+        """POST one mutation; the dispatch loses its worker first, then
+        answers from *replies* (an exhausted list fails the test)."""
+        dispatched: "list[dict]" = []
+
+        async def fake_dispatch(slot_, frame_, timeout):
+            dispatched.append(frame_)
+            if len(dispatched) == 1:
+                raise WorkerUnavailable("mutation worker died mid-append")
+            return replies.pop(0)
+
+        sup._dispatch = fake_dispatch  # type: ignore[method-assign]
+        request = HttpRequest(
+            method="POST", path="/mutate", query={}, headers={},
+            body=json.dumps(self.MUTATION).encode(),
+        )
+        with obs.enabled_scope(True), obs.scope():
+            response = asyncio.run(sup.handle(request))
+            counters = obs.collect()["counters"]
+        return response, dispatched, counters
+
     def test_durable_inflight_mutation_is_reacked_not_resent(self):
         # Handshake seq ABOVE the last ack: the crashed worker's append
         # hit the fsynced WAL, so the supervisor must re-ack, not
         # resend (a resend would apply the mutation twice).
         sup, slot = self._sup_with_mutation_slot(last_acked=4, recovered=5)
-        payload = {"index": "live", "op": "insert", "key": "k9"}
-        frame = {"op": "request", "body": json.dumps(payload)}
-
-        async def no_dispatch(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("re-ack path must not resend")
-
-        sup._dispatch = no_dispatch  # type: ignore[method-assign]
-        with obs.enabled_scope(True), obs.scope():
-            response = asyncio.run(
-                sup._recover_mutation(slot, "live", payload, frame, 1.0)
-            )
-            counters = obs.collect()["counters"]
+        response, dispatched, counters = self._mutate(sup, replies=[])
         body = json.loads(response.body)
         assert response.status == 200
         assert body["acked"] is True
         assert body["seq"] == 5
         assert body["recovered"] is True
         assert body["key"] == "k9"
+        assert len(dispatched) == 1  # the lost original, no resend
         assert sup._last_acked["live"] == 5
         assert counters.get(names.SERVE_WORKERS_MUTATIONS_REACKED) == 1
         assert names.SERVE_WORKERS_MUTATIONS_RESENT not in counters
@@ -441,27 +585,14 @@ class TestMutationSeqDedup:
         # Handshake seq AT the last ack: the append provably never
         # reached the log — resend exactly once.
         sup, slot = self._sup_with_mutation_slot(last_acked=4, recovered=4)
-        payload = {"index": "live", "op": "insert", "key": "k9"}
-        frame = {"op": "request", "body": json.dumps(payload)}
-        dispatched: "list[dict]" = []
-
-        async def fake_dispatch(slot_, frame_, timeout):
-            dispatched.append(frame_)
-            return {
-                "op": "response",
-                "status": 200,
-                "body": json.dumps({"acked": True, "seq": 5, "key": "k9"}),
-            }
-
-        sup._dispatch = fake_dispatch  # type: ignore[method-assign]
-        with obs.enabled_scope(True), obs.scope():
-            response = asyncio.run(
-                sup._recover_mutation(slot, "live", payload, frame, 1.0)
-            )
-            counters = obs.collect()["counters"]
+        response, dispatched, counters = self._mutate(
+            sup, replies=[{"op": "acked", "seq": 5}]
+        )
         assert response.status == 200
         assert json.loads(response.body)["seq"] == 5
-        assert len(dispatched) == 1
+        assert "recovered" not in json.loads(response.body)
+        assert len(dispatched) == 2  # the lost original plus one resend
+        assert dispatched[1] == dispatched[0]
         assert sup._last_acked["live"] == 5
         assert counters.get(names.SERVE_WORKERS_MUTATIONS_RESENT) == 1
         assert names.SERVE_WORKERS_MUTATIONS_REACKED not in counters
@@ -469,15 +600,11 @@ class TestMutationSeqDedup:
     def test_unrecovered_worker_is_an_honest_unacked_503(self):
         sup, slot = self._sup_with_mutation_slot(last_acked=4, recovered=4)
         slot.state = "failed"
-        payload = {"index": "live", "op": "insert", "key": "k9"}
-        response = asyncio.run(
-            sup._recover_mutation(
-                slot, "live", payload, {"op": "request"}, 0.05
-            )
-        )
+        response, dispatched, _ = self._mutate(sup, replies=[])
         body = json.loads(response.body)
         assert response.status == 503
         assert body["acked"] is False
+        assert len(dispatched) == 1
 
 
 class TestReadyzQuorum:
