@@ -9,7 +9,8 @@ check *ordering and propagation* invariants using the per-function CFG
 ``async-blocking-call`` (DOM201)
     ``async def`` bodies in :mod:`repro.serve` must not call blocking
     primitives (``time.sleep``, ``os.fsync``, ``open``, sockets, …);
-    offload to the executor instead.
+    offload to the executor instead.  CPU-bound query attempts are not
+    blocking I/O: a single-process server runs them on the loop.
 ``executor-context-propagation`` (DOM202)
     Executor/thread submissions in :mod:`repro.serve` must route the
     callable through ``contextvars.copy_context().run`` so budget and
@@ -116,15 +117,21 @@ class AsyncBlockingCallRule(Rule):
     )
     rationale = (
         "A blocking call inside an async handler stalls the entire event "
-        "loop: every in-flight request, the admission controller and the "
-        "health endpoint all freeze for its duration. The serve layer's "
-        "tail-latency guarantees assume the loop only ever awaits."
+        "loop while the process only waits: every in-flight request, the "
+        "admission controller and the health endpoint all freeze for its "
+        "duration. Blocking I/O (a WAL fsync) therefore runs on the "
+        "executor, where it releases the GIL and overlaps the loop. "
+        "CPU-bound query attempts are different by design: under the GIL "
+        "a thread would only share the interpreter with the loop, so a "
+        "single-process server runs them on the loop, one at a time, and "
+        "--workers is what keeps them off the front's loop."
     )
     invariant = (
         "No call to time.sleep, os.fsync/rename/replace, open(), socket, "
         "subprocess or shutil primitives is syntactically reachable inside "
         "an `async def` in repro.serve, outside nested sync functions "
-        "(which run in the executor)."
+        "(which run in the executor). Synchronous calls that only compute, "
+        "such as a query attempt, may run on the loop."
     )
     bad_example = (
         "async def handler(self):\n"

@@ -137,7 +137,7 @@ class TokenBucket:
 
 
 class AdmissionController:
-    """The three admission gates in front of the query executor."""
+    """The three admission gates in front of query execution."""
 
     def __init__(self, *, max_concurrency: int = 8, max_queue: int = 32) -> None:
         if max_concurrency < 1:

@@ -33,18 +33,27 @@ mode of :mod:`repro.robust.faults`).
 
 This is the one request pipeline of both serving modes.  Everything
 above runs once per request in :meth:`ServeApp.handle`; only where an
-attempt runs differs.  :meth:`ServeApp._attempt` (one budgeted query
-attempt, :func:`run_attempt`) and :meth:`ServeApp._mutate` (one WAL
-append, :func:`apply_mutation`) run on a thread-pool executor sized to
-the admission concurrency bound, each under
-``contextvars.copy_context()`` so the active obs registry, budget scope
-and event log all propagate into the executor thread
-(:meth:`ServeApp._run_sync`).  The pooled server
+attempt runs differs.  In a single process, :meth:`ServeApp._attempt`
+runs one budgeted query attempt (:func:`run_attempt`) right on the
+event-loop thread, one at a time and first come, first served: the
+admission controller holds one execution slot, and the attempt yields
+to the loop once before it starts, so requests already read are queued
+or shed first.  Under the GIL an executor thread would only share the
+interpreter with the loop and add two thread hand-offs per request.
+:meth:`ServeApp._mutate` (one WAL append, :func:`apply_mutation`)
+still runs on a thread-pool executor, under
+``contextvars.copy_context()`` so the obs registry, fault scopes and
+event log propagate (:meth:`ServeApp._run_sync`): its fsync is
+blocking I/O that releases the GIL, and blocking I/O never runs on the
+loop (DOM201).  The price of inline attempts: while one runs, the loop
+accepts, sheds and answers ``/healthz`` only after it ends, a stall the
+tenant's deadline bounds; ``--workers`` keeps the attempts off the
+front's loop.  The pooled server
 (:class:`repro.serve.supervisor.Supervisor`) is a subclass that sends
-each of them to a worker process as one pipe frame instead, where
-:mod:`repro.serve.worker` runs the same two functions.  The
-``"handler"`` fault seam patches :func:`_handler_hook` to inject slow
-or exploding handlers.
+each attempt and mutation to a worker process as one pipe frame
+instead, where :mod:`repro.serve.worker` runs the same two functions.
+The ``"handler"`` fault seam patches :func:`_handler_hook` to inject
+slow or exploding handlers.
 """
 
 from __future__ import annotations
@@ -110,7 +119,7 @@ QUERY_KINDS = ("knn", "rknn", "dominating")
 _T = TypeVar("_T")
 
 #: Ceiling on one injected handler delay, seconds — keeps a poisoned
-#: hook from parking an executor thread indefinitely.
+#: hook from stalling the loop (or a worker) indefinitely.
 _MAX_HANDLER_DELAY_S = 0.5
 
 #: How long one connection may take to deliver a full request.
@@ -198,8 +207,11 @@ class ServeApp:
         seed: int = 0,
     ) -> None:
         self.policy = policy if policy is not None else TenantPolicy()
+        # Attempts run one at a time on the loop: one execution slot.
         self.admission = (
-            admission if admission is not None else AdmissionController()
+            admission
+            if admission is not None
+            else AdmissionController(max_concurrency=1)
         )
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
@@ -419,9 +431,11 @@ class ServeApp:
 
         The same contract as :meth:`drain_and_stop`, for code whose
         event loop is already stopping or stopped (so the polling sleep
-        blocks nobody): new requests answer 503 ``draining``, admitted
-        ones get up to *drain_s* seconds of wall clock to finish on
-        their executor threads, then the pool is cancelled.  An idle
+        blocks nobody): new requests answer 503 ``draining``, and work
+        still in flight gets up to *drain_s* seconds of wall clock, then
+        the executor is cancelled.  Only a mutation's WAL append can
+        still finish here, on its executor thread: a query attempt runs
+        on the loop, so none is mid-run while this waits.  An idle
         server observes no delay at all.
         """
         self._draining = True
@@ -720,12 +734,15 @@ class ServeApp:
     ) -> Any:
         """One budgeted query attempt; retries call it again.
 
-        Runs :func:`run_attempt` on the executor.  The pooled server
-        overrides it to send the attempt to a worker instead.
+        Runs :func:`run_attempt` on the event-loop thread, as a pooled
+        worker runs it on its frame thread.  The attempt never yields,
+        so it yields once before it starts: otherwise each request of a
+        burst would finish before the next one reached admission, and
+        a full queue would never shed.  The pooled server overrides this
+        to send the attempt to a worker instead.
         """
-        return await self._run_sync(
-            functools.partial(run_attempt, state, tenant, params)
-        )
+        await asyncio.sleep(0)
+        return run_attempt(state, tenant, params)
 
     async def _mutate(
         self, state: IndexState, op: str, key: Any, sphere: "Hypersphere | None"
@@ -742,12 +759,12 @@ class ServeApp:
         return {"seq": seq}
 
     async def _run_sync(self, work: "Callable[[], _T]") -> "_T":
-        """Run one query attempt or mutation on an executor thread.
+        """Run one mutation on an executor thread, off the loop.
 
-        Budgets, deadlines and fault scopes travel in contextvars, so
-        *work* runs under a copy of the caller's context: otherwise an
-        injected seam active for this request would not fire in the
-        thread, and the budget would not charge.
+        Its WAL fsync is blocking I/O (DOM201).  Fault scopes and the
+        obs registry travel in contextvars, so *work* runs under a copy
+        of the caller's context: otherwise an injected seam active for
+        this request would not fire in the thread.
         """
         loop = asyncio.get_running_loop()
         context = contextvars.copy_context()
@@ -839,7 +856,7 @@ class ServeApp:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: one request, one response, close."""
+        """One connection: one request, one response, half-close, close."""
         try:
             try:
                 request = await asyncio.wait_for(
@@ -848,37 +865,35 @@ class ServeApp:
             except asyncio.TimeoutError:
                 if obs.ENABLED:
                     obs.incr(names.SERVE_PROTOCOL_ERRORS)
-                await write_response(
-                    writer, json_response(408, {"error": "request_timeout"})
-                )
-                return
+                response = json_response(408, {"error": "request_timeout"})
             except ProtocolError as error:
                 if obs.ENABLED:
                     obs.incr(names.SERVE_PROTOCOL_ERRORS)
                 status = int(getattr(error, "status", 400))
-                await write_response(
-                    writer,
-                    json_response(
-                        status, {"error": "protocol", "message": str(error)}
-                    ),
-                )
-                return
-            try:
-                response = await self.handle(request)
-            except ReproError as error:
-                # A typed library failure on a non-degraded path: the
-                # honest admission that this one request failed.
                 response = json_response(
-                    500, {"error": type(error).__name__, "message": str(error)}
+                    status, {"error": "protocol", "message": str(error)}
                 )
-            await write_response(writer, response)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # the client hung up; nothing to answer
+            else:
+                try:
+                    response = await self.handle(request)
+                except ReproError as error:
+                    # A typed library failure on a non-degraded path:
+                    # the honest admission that this one request failed.
+                    response = json_response(
+                        500,
+                        {"error": type(error).__name__, "message": str(error)},
+                    )
+            try:
+                await write_response(writer, response)
+            except OSError:
+                # The client hung up: a reset, a broken pipe, or a peer
+                # already gone when the half-close runs (ENOTCONN).
+                pass
         finally:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except OSError:
                 pass
 
 
@@ -963,7 +978,7 @@ def _parse_query_payload(payload: "dict[str, Any]") -> "dict[str, Any]":
     criterion = payload.get("criterion", "hyperbola")
     # Top-k dominating scores through a batch kernel; knn and rknn call
     # the criterion itself.  A name the kind cannot run is the client's
-    # error, caught here rather than as a crash inside the executor.
+    # error, caught here rather than as a crash inside the attempt.
     runnable = tuple(
         available_kernels() if kind == "dominating" else available_criteria()
     )
@@ -984,8 +999,9 @@ def _parse_query_payload(payload: "dict[str, Any]") -> "dict[str, Any]":
 def _execute_query(state: IndexState, params: "dict[str, Any]") -> Any:
     """Run the validated query against the (healthy) index state.
 
-    Runs on an executor thread, inside the request's budget scope and
-    copied context.  :class:`ValidationError` from the query layer
+    Runs inside the request's budget scope: on the event loop in a
+    single process, on the frame thread in a worker.
+    :class:`ValidationError` from the query layer
     (bad ``k``, dimension mismatch) propagates to the caller, which
     maps it onto a 400 — see :meth:`ServeApp._handle_query`.
     """

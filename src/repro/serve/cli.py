@@ -124,16 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--max-concurrency",
-        type=int,
-        default=8,
-        help=(
-            "concurrent query executions (default 8); a pool (--workers) "
-            "runs one request per worker, so this applies only to "
-            "single-process serving"
-        ),
-    )
-    parser.add_argument(
         "--max-queue",
         type=int,
         default=32,
@@ -231,8 +221,10 @@ def build_app(args: argparse.Namespace) -> ServeApp:
     specs, stream_specs = _index_specs(args)
     app = ServeApp(
         policy=TenantPolicy(default_classes(deadline_scale=_deadline_scale(args))),
+        # One execution slot: a single process runs attempts one at a
+        # time on its event loop.
         admission=AdmissionController(
-            max_concurrency=args.max_concurrency, max_queue=args.max_queue
+            max_concurrency=1, max_queue=args.max_queue
         ),
         event_log=(
             obs_export.QueryEventLog.open(args.event_log)

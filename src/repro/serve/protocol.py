@@ -3,8 +3,9 @@
 The serving front end speaks just enough HTTP for an operations stack:
 request-line + headers + optional ``Content-Length`` body in, status
 line + headers + body out, one request per connection
-(``Connection: close``).  No chunked encoding, no pipelining, no TLS —
-those belong to the load balancer in front of this process.
+(``Connection: close``, half-closed once the response is written).  No
+chunked encoding, no pipelining, no TLS — those belong to the load
+balancer in front of this process.
 
 Every parse failure or limit violation raises a typed
 :class:`~repro.exceptions.ProtocolError` carrying the HTTP status the
@@ -221,9 +222,17 @@ def _protocol_error(message: str, status: int) -> ProtocolError:
 
 
 async def write_response(writer: StreamWriter, response: HttpResponse) -> None:
-    """Send *response* and drain; closing is the caller's business."""
+    """Send *response*, drain, and half-close; closing is the caller's.
+
+    The half-close (``write_eof``) hands a ``Connection: close`` client
+    its EOF now.  The close itself lands only on a later loop turn,
+    after whatever query attempt the loop runs next.  A peer that
+    already reset can make the half-close raise :class:`OSError`.
+    """
     writer.write(response.encode())
     await writer.drain()
+    if writer.can_write_eof():
+        writer.write_eof()
 
 
 # --------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def run_smoke(
                 if workers > 0
                 else ServeApp.from_snapshots(
                     {"default": path},
-                    admission=AdmissionController(max_concurrency=4, max_queue=8),
+                    admission=AdmissionController(max_concurrency=1, max_queue=8),
                     seed=seed,
                 )
             )

@@ -407,6 +407,8 @@ class Supervisor(ServeApp):
         try:
             await self._spawn(slot)
         except (WorkerUnavailable, ArithmeticError, OSError, ValueError):
+            if self._stopping:
+                return  # the drain killed it mid-boot: not a failed spawn
             slot.state = "dead"
             slot.spawn_failures += 1
             if obs.ENABLED:
@@ -456,6 +458,8 @@ class Supervisor(ServeApp):
             try:
                 await self._spawn(slot)
             except (WorkerUnavailable, ArithmeticError, OSError, ValueError):
+                if self._stopping:
+                    return  # the drain killed it mid-boot: not a failed spawn
                 slot.spawn_failures += 1
                 if obs.ENABLED:
                     obs.incr(names.SERVE_WORKERS_SPAWN_FAILURES)

@@ -107,6 +107,27 @@ class TestRunner:
         assert loaded.to_dict() == document.to_dict()
 
 
+class TestServeTiming:
+    """The serve topic times answered queries, paced under the rate limit."""
+
+    _POINT = {"n": 40, "d": 3, "radius": "gaussian", "phase": "single", "k": 3}
+
+    def test_a_shed_request_never_enters_latency_s(self):
+        from repro.robust import faults
+
+        point = dict(self._POINT, requests=4)
+        # Every other admission is a queue_full 429.
+        with faults.inject("queue", "raise", every=2):
+            document = run_topic("serve", [point], quick=True, repeats=1)
+        assert document.points[0]["samples"] == 2
+
+    def test_rounds_past_the_burst_allowance_are_paced_not_shed(self):
+        # 30 requests under the default class's burst of 25.
+        point = dict(self._POINT, requests=30)
+        document = run_topic("serve", [point], quick=True, repeats=1)
+        assert document.points[0]["samples"] == 30
+
+
 def _fake_document(
     topic: str, p50: float, counters: "dict[str, int] | None" = None
 ) -> BenchDocument:

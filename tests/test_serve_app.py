@@ -1,7 +1,7 @@
 """End-to-end serve tests: a real asyncio server on an ephemeral port.
 
 Every test here drives the full stack — TCP connection, hand-rolled
-HTTP parsing, routing, admission, budget scope in an executor thread,
+HTTP parsing, routing, admission, a budgeted attempt on the event loop,
 response encoding — not the handler functions in isolation.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import threading
 
 import pytest
 
@@ -455,3 +456,72 @@ class TestServeCli:
 
         assert main(["--snapshot", "missing-equals-sign"]) == 1
         assert "NAME=PATH" in capsys.readouterr().err
+
+
+#: Admission never sheds this tenant on rate: only the queue bound can.
+ROOMY = TenantClass(
+    name="roomy", deadline_ms=30_000.0, rate_per_s=10_000.0, burst=1000
+)
+
+
+class TestInlineAttempts:
+    """A single process runs each attempt on its loop, one at a time."""
+
+    def test_a_burst_of_every_kind_starts_no_executor_thread(
+        self, snapshot_path, query_body
+    ):
+        app = make_app(
+            snapshot_path, policy=TenantPolicy({"roomy": ROOMY}, default="roomy")
+        )
+        bodies = [
+            dict(query_body, kind=kind)
+            for kind in ("knn", "rknn", "dominating")
+            for _ in range(4)
+        ]
+
+        async def scenario(host, port):
+            before = set(threading.enumerate())
+            responses = await asyncio.gather(
+                *(request(host, port, "POST", "/query", body=b) for b in bodies)
+            )
+            started = [
+                thread.name
+                for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("repro-serve")
+            ]
+            return [status for status, _, _ in responses], started
+
+        (statuses, started), _ = drive(app, scenario)
+        assert statuses == [200] * len(bodies)
+        assert started == []
+
+    def test_a_burst_into_one_slot_sheds_what_the_queue_cannot_hold(
+        self, snapshot_path, query_body
+    ):
+        # The attempt yields once before it runs, so the whole burst
+        # reaches admission first: one request runs, 32 queue, 47 shed.
+        app = make_app(
+            snapshot_path,
+            policy=TenantPolicy({"roomy": ROOMY}, default="roomy"),
+            admission=AdmissionController(max_concurrency=1, max_queue=32),
+        )
+
+        async def scenario(host, port):
+            return await asyncio.gather(
+                *(
+                    request(host, port, "POST", "/query", body=query_body)
+                    for _ in range(80)
+                )
+            )
+
+        responses, stats = drive(app, scenario)
+        statuses = [status for status, _, _ in responses]
+        assert statuses.count(200) == 33
+        assert statuses.count(429) == 47
+        reasons = {
+            json.loads(raw)["reason"]
+            for status, _, raw in responses
+            if status == 429
+        }
+        assert reasons == {"queue_full"}
+        assert stats["counters"][names.SERVE_ADMISSION_QUEUE_FULL] == 47

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import errno
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.serve.protocol import (
     HttpResponse,
     json_response,
     read_request,
+    write_response,
 )
 
 
@@ -117,3 +119,77 @@ class TestResponseEncoding:
 
     def test_unknown_status_still_encodes(self):
         assert b"HTTP/1.1 299 Unknown" in HttpResponse(status=299).encode()
+
+
+class TestHalfClose:
+    def test_client_reads_to_eof_while_the_server_holds_the_close(self):
+        response = json_response(200, {"status": "ok", "pad": "x" * 4096})
+
+        async def go() -> bytes:
+            release = asyncio.Event()
+
+            async def serve_one(reader, writer):
+                await write_response(writer, response)
+                await release.wait()  # the close waits for the client
+                writer.close()
+                await writer.wait_closed()
+
+            server = await asyncio.start_server(serve_one, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                return await asyncio.wait_for(reader.read(), timeout=2.0)
+            finally:
+                release.set()
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+
+        assert asyncio.run(go()) == response.encode()
+
+    def test_a_peer_reset_before_the_half_close_ends_the_connection_cleanly(
+        self,
+    ):
+        from repro.serve.app import ServeApp
+
+        class ResetPeer:
+            """A writer whose peer reset once the response was sent."""
+
+            sent = b""
+            half_closed = closed = False
+
+            def write(self, data: bytes) -> None:
+                self.sent += data
+
+            async def drain(self) -> None:
+                pass
+
+            def can_write_eof(self) -> bool:
+                return True
+
+            def write_eof(self) -> None:
+                self.half_closed = True
+                raise OSError(errno.ENOTCONN, "Transport endpoint is not connected")
+
+            def close(self) -> None:
+                self.closed = True
+
+            async def wait_closed(self) -> None:
+                pass
+
+        app = ServeApp()
+        peer = ResetPeer()
+
+        async def go() -> None:
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            reader.feed_eof()
+            await app.handle_connection(reader, peer)  # type: ignore[arg-type]
+
+        try:
+            asyncio.run(go())
+        finally:
+            app.close(drain_s=0.0)
+        assert peer.sent.startswith(b"HTTP/1.1 200 OK")
+        assert peer.half_closed and peer.closed

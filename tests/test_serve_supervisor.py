@@ -524,6 +524,49 @@ class TestRespawnFlapCap:
         assert names.fault("worker_spawn", "raise") in counters
 
 
+class TestDrainDuringRespawn:
+    def test_a_respawn_the_drain_kills_mid_boot_is_not_a_failed_spawn(
+        self, tmp_path
+    ):
+        import os
+        import signal
+
+        from repro.data.synthetic import synthetic_dataset
+        from repro.index import snapshot as snapshot_io
+        from repro.index.sstree import SSTree
+
+        path = str(tmp_path / "shard.snap")
+        tree = SSTree.bulk_load(synthetic_dataset(40, 3, seed=3).items())
+        snapshot_io.save(tree, path)
+        sup = Supervisor(
+            SupervisorConfig(
+                query_workers=2, snapshots={"default": path}, backoff_base_s=0.05
+            )
+        )
+
+        async def go():
+            await sup.start()
+            slot = sup._slots[0]
+            try:
+                killed = slot.process
+                os.kill(slot.pid, signal.SIGKILL)
+                # Drain once the respawn has forked and not yet handshaken.
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while slot.process is killed or slot.state == "ready":
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.005)
+            finally:
+                await sup.drain_and_stop()
+            return slot
+
+        with obs.enabled_scope(True), obs.scope():
+            slot = asyncio.run(go())
+            counters = obs.collect()["counters"]
+        assert counters.get(names.SERVE_WORKERS_EXITS) == 1
+        assert counters.get(names.SERVE_WORKERS_SPAWN_FAILURES, 0) == 0
+        assert slot.spawn_failures == 0 and slot.state == "stopped"
+
+
 class TestMutationSeqDedup:
     MUTATION = {
         "index": "live", "op": "insert", "key": "k9",
