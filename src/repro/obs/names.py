@@ -227,6 +227,7 @@ KNN_ANSWER_SIZE = "knn.answer_size"
 SNAPSHOT_BYTES = "snapshot.bytes"
 SERVE_LATENCY_S = "serve.latency_s"
 SERVE_QUEUE_DEPTH = "serve.queue_depth"
+SERVE_WORKERS_BOOT_S = "serve.workers.boot_s"
 WAL_RECORD_BYTES = "wal.record_bytes"
 STREAM_OVERLAY_SIZE = "stream.overlay_size"
 STREAM_MUTATE_LATENCY_S = "stream.mutate_latency_s"

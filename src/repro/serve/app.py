@@ -377,6 +377,7 @@ class ServeApp:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> "tuple[str, int]":
         """Bind the listener; returns the bound ``(host, port)``."""
+        _settle_allocator()
         self._server = await start_server(self, host=host, port=port)
         bound = self._server.sockets[0].getsockname()
         return str(bound[0]), int(bound[1])
@@ -895,6 +896,19 @@ class ServeApp:
                 await writer.wait_closed()
             except OSError:
                 pass
+
+
+def _settle_allocator() -> None:
+    """Raise glibc's dynamic mmap threshold before serving.
+
+    asyncio reads into fresh 256 KiB buffers; below the threshold each
+    read is an mmap, two page faults and a munmap (~17 us, not ~1.3).
+    Only freeing a larger mmapped block raises it, so without this the
+    per-request cost hangs on boot-time allocation history, which one
+    added module constant can flip (``docs/serving.md``).  Another
+    allocator only frees the block.
+    """
+    bytes(1 << 20)
 
 
 def run_attempt(

@@ -6,7 +6,8 @@ drain and 206 rendering all run once per request, in the supervisor,
 on the single-process server's own code path.  What differs is where a
 request's work runs: each query attempt (:meth:`Supervisor._attempt`)
 and each mutation (:meth:`Supervisor._mutate`) is one pipe frame to a
-child worker (:mod:`repro.serve.worker`):
+child worker (:mod:`repro.serve.worker`), forked from the supervisor
+itself:
 
 - **N query workers** share the *read-only* snapshot shards — each
   loads the same snapshot files, so any of them can answer any query
@@ -21,11 +22,20 @@ child worker (:mod:`repro.serve.worker`):
 The supervisor loads no index: it learns each index's health and
 dimension from the workers' ready handshakes.
 
+Every worker, at first boot and at each respawn, is an ``os.fork()`` of
+the booted supervisor (:func:`_fork`), not a fresh interpreter: it
+inherits numpy and the serving stack already imported, and reaches its
+ready frame in milliseconds (``serve.workers.boot_s``).  The child drops
+what it must not share (:func:`repro.serve.worker.run_child`).  The
+supervisor watches each child without a thread: the child holds the
+only write end of a *sentinel* pipe, whose EOF the event loop reads
+when the child dies (:class:`WorkerProcess`).
+
 Robustness machinery, all driven by the chaos suite
 (``tests/test_serve_procs_chaos.py``):
 
 - **Health checking** — each worker exchanges length-prefixed JSON
-  frames over its stdin/stdout pipes; idle workers are pinged every
+  frames over its request and reply pipes; idle workers are pinged every
   ``heartbeat_s``, and a missed heartbeat or wedged dispatch gets the
   worker SIGKILLed and respawned.
 - **Respawn with backoff and a flap cap** — a dead worker is respawned
@@ -64,16 +74,20 @@ Supervision tree (see ``docs/serving.md`` for the full picture)::
 The ``worker_spawn`` / ``worker_heartbeat`` / ``worker_kill`` fault
 seams (:mod:`repro.robust.faults`) patch :func:`_spawn_probe`,
 :func:`_heartbeat_probe` and :func:`_kill_probe` to force spawn
-failures, missed heartbeats and process kills deterministically.
+failures, missed heartbeats and process kills deterministically.  A
+forked worker inherits whatever is patched in the front when it forks,
+but these three run only in the supervisor, so they never fire in a
+worker.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import gc
 import os
+import signal
 import sys
-from asyncio.subprocess import Process
+import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -83,6 +97,7 @@ from repro.geometry.hypersphere import Hypersphere
 from repro.obs import export as obs_export
 from repro.obs import names
 from repro.resilience.partial import PartialResult, ResilienceReport
+from repro.serve import worker
 from repro.serve.admission import AdmissionController
 from repro.serve.app import IndexState, ServeApp, WorkerUnavailable
 from repro.serve.protocol import (
@@ -164,7 +179,7 @@ class WorkerSlot:
     slot: int
     role: str  # "query" | "mutation"
     state: str = "starting"  # starting | ready | dead | failed | stopped
-    process: "Process | None" = None
+    process: "WorkerProcess | None" = None
     pid: "int | None" = None
     lock: "asyncio.Lock" = field(default_factory=asyncio.Lock)
     #: Per-index recovered WAL high-water mark from the last handshake.
@@ -203,16 +218,100 @@ class _Answer:
         raise AttributeError(name)
 
 
-def _child_env() -> "dict[str, str]":
-    """The worker's environment: inherit, plus our import root."""
-    env = dict(os.environ)
-    serve_dir = os.path.dirname(os.path.abspath(__file__))
-    src_root = os.path.dirname(os.path.dirname(serve_dir))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_root if not existing else src_root + os.pathsep + existing
-    )
-    return env
+def _fork(config: "Mapping[str, Any]") -> "tuple[int, int, int, int]":
+    """Fork one worker off this process: its pid and the front's pipe ends.
+
+    No await runs between making the pipes and closing the child's ends
+    here, so a worker forked concurrently (``start()`` boots every slot
+    at once) never inherits them.  The collector is frozen across the
+    fork: the child's collector then never walks what it inherited, so
+    it never un-shares those pages, nor finalizes an inherited object
+    (a socket, say) whose fd number the child has since reused.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    stdin_r, stdin_w = os.pipe()
+    stdout_r, stdout_w = os.pipe()
+    sentinel_r, sentinel_w = os.pipe()
+    gc.freeze()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            worker.run_child(config, stdin_r, stdout_w, sentinel_w)
+    except OSError:
+        for fd in (stdin_w, stdout_r, sentinel_r):
+            os.close(fd)
+        raise
+    finally:
+        gc.unfreeze()
+        for fd in (stdin_r, stdout_w, sentinel_w):
+            os.close(fd)
+    return pid, stdin_w, stdout_r, sentinel_r
+
+
+class WorkerProcess:
+    """One forked worker: its pid, pipe streams, and exit status.
+
+    The subset of :class:`asyncio.subprocess.Process` the supervisor
+    uses, without a watcher thread per child: the child holds the only
+    write end of a third, *sentinel* pipe, so the event loop sees that
+    pipe's EOF when the child dies and reaps it with ``waitpid`` then.
+    """
+
+    def __init__(
+        self,
+        pid: int,
+        stdin: asyncio.StreamWriter,
+        stdout: asyncio.StreamReader,
+        sentinel: int,
+    ) -> None:
+        self.pid = pid
+        self.stdin = stdin
+        self.stdout = stdout
+        self.returncode: "int | None" = None
+        self._loop = asyncio.get_running_loop()
+        self._sentinel = sentinel
+        self._exited: "asyncio.Future[None]" = self._loop.create_future()
+        self._loop.add_reader(sentinel, self._reap)
+
+    @classmethod
+    async def fork(cls, config: "Mapping[str, Any]") -> "WorkerProcess":
+        """Fork a worker running :func:`repro.serve.worker.run_child`."""
+        pid, stdin_fd, stdout_fd, sentinel = _fork(config)
+        loop = asyncio.get_running_loop()
+        stdout = asyncio.StreamReader()
+        await loop.connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(stdout),
+            os.fdopen(stdout_fd, "rb", buffering=0),
+        )
+        transport, protocol = await loop.connect_write_pipe(
+            asyncio.streams.FlowControlMixin,
+            os.fdopen(stdin_fd, "wb", buffering=0),
+        )
+        stdin = asyncio.StreamWriter(transport, protocol, None, loop)
+        return cls(pid, stdin, stdout, sentinel)
+
+    def _reap(self) -> None:
+        """The sentinel hit EOF: the child has exited, so reap it."""
+        self._loop.remove_reader(self._sentinel)
+        os.close(self._sentinel)
+        try:
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
+        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored)
+            self.returncode = 255
+        self._exited.set_result(None)
+
+    async def wait(self) -> int:
+        """The exit code, once the child has exited and been reaped."""
+        await asyncio.shield(self._exited)
+        assert self.returncode is not None
+        return self.returncode
+
+    def kill(self) -> None:
+        """SIGKILL the child, unless it is already reaped."""
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
 
 
 class Supervisor(ServeApp):
@@ -323,11 +422,7 @@ class Supervisor(ServeApp):
         slot.state = "stopped"
         if process is None:
             return
-        if process.returncode is None:
-            try:
-                process.kill()
-            except ProcessLookupError:  # pragma: no cover - exit race
-                pass
+        process.kill()
         try:
             await asyncio.wait_for(process.wait(), timeout=5.0)
         except asyncio.TimeoutError:  # pragma: no cover - kernel stall
@@ -353,18 +448,10 @@ class Supervisor(ServeApp):
     async def _spawn(self, slot: WorkerSlot) -> None:
         """Fork one worker and wait for its ready handshake."""
         _spawn_probe()
-        process = await asyncio.create_subprocess_exec(
-            sys.executable,
-            "-m",
-            "repro.serve.worker",
-            json.dumps(self._worker_config(slot), sort_keys=True),
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            env=_child_env(),
-        )
+        started = time.perf_counter()
+        process = await WorkerProcess.fork(self._worker_config(slot))
         slot.process = process
         slot.pid = process.pid
-        assert process.stdout is not None
         try:
             frame = await asyncio.wait_for(
                 read_frame_async(process.stdout),
@@ -380,7 +467,13 @@ class Supervisor(ServeApp):
             raise WorkerUnavailable(
                 f"worker slot {slot.slot} sent no ready frame"
             )
-        slot.pid = int(frame.get("pid", process.pid))
+        if self._stopping:
+            # The drain stopped this slot while the worker booted: its
+            # ready frame may already have been in the pipe.
+            process.kill()
+            raise WorkerUnavailable(
+                f"worker slot {slot.slot} booted into the drain"
+            )
         slot.last_seq = {
             str(k): int(v)
             for k, v in dict(frame.get("last_seq") or {}).items()
@@ -400,6 +493,9 @@ class Supervisor(ServeApp):
                 self._last_acked.setdefault(index, seq)
         if obs.ENABLED:
             obs.incr(names.SERVE_WORKERS_SPAWNED)
+            obs.observe(
+                names.SERVE_WORKERS_BOOT_S, time.perf_counter() - started
+            )
         self._schedule(self._monitor(slot, process))
 
     async def _boot(self, slot: WorkerSlot) -> None:
@@ -415,7 +511,9 @@ class Supervisor(ServeApp):
                 obs.incr(names.SERVE_WORKERS_SPAWN_FAILURES)
             self._schedule(self._respawn_loop(slot))
 
-    async def _monitor(self, slot: WorkerSlot, process: Process) -> None:
+    async def _monitor(
+        self, slot: WorkerSlot, process: WorkerProcess
+    ) -> None:
         """Wait for one process to die, then heal the slot."""
         await process.wait()
         if self._stopping or slot.process is not process:
@@ -507,10 +605,7 @@ class Supervisor(ServeApp):
         if process is not None and process.returncode is None:
             if obs.ENABLED:
                 obs.incr(names.SERVE_WORKERS_KILLS)
-            try:
-                process.kill()
-            except ProcessLookupError:  # pragma: no cover - exit race
-                pass
+            process.kill()
 
     # ------------------------------------------------------------------
     # Frame dispatch
@@ -534,8 +629,6 @@ class Supervisor(ServeApp):
             loop = asyncio.get_running_loop()
             deadline = loop.time() + max(timeout, 0.05)
             try:
-                assert process.stdin is not None
-                assert process.stdout is not None
                 process.stdin.write(encode_frame(frame))
                 await asyncio.wait_for(
                     process.stdin.drain(),

@@ -1,13 +1,26 @@
-"""One supervised serving worker (``python -m repro.serve.worker``).
+"""One supervised serving worker, forked from the booted supervisor.
 
 The pooled server (:class:`repro.serve.supervisor.Supervisor`) forks N
-of these as child processes.  The supervisor has already parsed,
-routed, admitted, breaker-checked and (if need be) retried each
-request, so a worker does none of that: it reads one length-prefixed
-JSON frame (:func:`repro.serve.protocol.read_frame`) off its
-**stdin**, runs one query attempt or one WAL append, and writes one
-frame back on its **stdout**.  stderr passes through to the
-supervisor for operator logs.
+of these as child processes (:func:`run_child`; there is no separate
+worker command).  The supervisor has already parsed, routed, admitted,
+breaker-checked and (if need be) retried each request, so a worker
+does none of that: it reads one length-prefixed JSON frame
+(:func:`repro.serve.protocol.read_frame`) off its **request pipe**,
+runs one query attempt or one WAL append, and writes one frame back on
+its **reply pipe**.  stderr is the supervisor's, for operator logs.
+
+A forked child starts with a copy of the supervisor's memory: numpy,
+the serving stack and the query code are already imported, so a worker
+boots in milliseconds instead of re-importing them; what it inherited
+stays frozen out of its collector (see ``supervisor._fork``), so those
+pages stay shared.  Before it loads an index it drops what it must not
+share with the front: the signal wakeup fd and handlers (a signal sent
+to a worker must not drain the front), every inherited fd but 0-2 and
+its own pipes (the listening socket, client connections, the event
+loop's fds, and sibling workers' pipe ends, which would keep a sibling
+alive after the front dies), and the obs registry (a worker counts
+from zero).  It leaves only through :func:`os._exit`, never unwinding
+into the front's frames, atexit handlers or stdio buffers.
 
 A query attempt is the single-process server's own attempt body,
 :func:`repro.serve.app.run_attempt` (mint the tenant's budget, the
@@ -47,10 +60,11 @@ worker can never race a wedged predecessor for the log.
 
 from __future__ import annotations
 
-import json
 import os
+import signal
 import sys
-from typing import Any, BinaryIO, Mapping, Sequence
+import traceback
+from typing import Any, BinaryIO, Mapping, NoReturn
 
 from repro import obs
 from repro.exceptions import ProtocolError, ReproError, ValidationError
@@ -65,11 +79,11 @@ from repro.serve.app import (
 from repro.serve.protocol import encode_frame, read_frame
 from repro.serve.tenancy import TenantPolicy, default_classes
 
-__all__ = ["build_worker_app", "main", "serve_frames"]
+__all__ = ["build_worker_app", "run_child", "serve_frames"]
 
 
 def build_worker_app(config: "Mapping[str, Any]") -> ServeApp:
-    """The worker's indexes and tenant classes, from its JSON config.
+    """The worker's indexes and tenant classes, from its config.
 
     Query workers get the (shared, read-only) snapshot shards; the
     mutation worker gets the streaming directories and takes the
@@ -202,36 +216,51 @@ def serve_frames(
         _send(stdout, {**reply, "id": frame.get("id")})
 
 
-def main(argv: "Sequence[str] | None" = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if len(args) != 1:
-        print(
-            "usage: python -m repro.serve.worker '<json config>'",
-            file=sys.stderr,
-        )
-        return 2
+#: Reset to their default action in a worker, which must not run the
+#: front's handlers: a SIGTERM sent to a worker would drain the front.
+_RESET_SIGNALS = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP, signal.SIGCHLD)
+
+
+def _close_inherited_fds(keep: "tuple[int, ...]") -> None:
+    """Close every fd but 0-2 and *keep*: all the front's, and siblings'."""
+    low = 3
+    for fd in sorted(keep):
+        os.closerange(low, fd)
+        low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+
+
+def run_child(
+    config: "Mapping[str, Any]", stdin_fd: int, stdout_fd: int, sentinel_fd: int
+) -> "NoReturn":
+    """A forked worker's whole life: reset, boot, serve frames, exit.
+
+    *stdin_fd* and *stdout_fd* are the child's ends of its request and
+    reply pipes.  *sentinel_fd* is only held open: the supervisor reads
+    its EOF as this process's death.  Never returns: the process leaves
+    through :func:`os._exit`, 0 after a clean EOF or shutdown frame, 1
+    when the worker could not boot or failed.
+    """
+    status = 1
     try:
-        config = json.loads(args[0])
-    except ValueError as error:
-        print(f"worker: config is not valid JSON: {error}", file=sys.stderr)
-        return 2
-    if not isinstance(config, dict):
-        print("worker: config must be a JSON object", file=sys.stderr)
-        return 2
-    obs.enable()
-    try:
-        app = build_worker_app(config)
-    except ReproError as error:
-        print(f"worker: boot failed: {error}", file=sys.stderr)
-        return 1
-    try:
-        serve_frames(
-            app, sys.stdin.buffer, sys.stdout.buffer, str(config.get("role", "query"))
-        )
+        signal.set_wakeup_fd(-1)
+        for signum in _RESET_SIGNALS:
+            signal.signal(signum, signal.SIG_DFL)
+        _close_inherited_fds((stdin_fd, stdout_fd, sentinel_fd))
+        role = str(config.get("role", "query"))
+        with obs.scope():
+            obs.enable()
+            app = build_worker_app(config)
+            try:
+                with open(stdin_fd, "rb") as stdin, open(stdout_fd, "wb") as stdout:
+                    serve_frames(app, stdin, stdout, role)
+            finally:
+                app.close(drain_s=0.0)
+        status = 0
+    except BaseException:  # nothing may unwind into the front's frames
+        traceback.print_exc()
     finally:
-        app.close(drain_s=0.0)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised as a subprocess
-    raise SystemExit(main())
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(status)

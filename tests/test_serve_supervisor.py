@@ -15,6 +15,8 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
+import signal
 import threading
 import time
 
@@ -29,6 +31,8 @@ from repro.robust import faults
 from repro.serve.admission import AdmissionController
 from repro.serve.app import ServeApp
 from repro.serve.breaker import BreakerState, CircuitBreaker
+from repro.serve import supervisor as supervisor_module
+from repro.serve import worker
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     HttpRequest,
@@ -524,37 +528,46 @@ class TestRespawnFlapCap:
         assert names.fault("worker_spawn", "raise") in counters
 
 
+@pytest.fixture()
+def shard_path(tmp_path):
+    from repro.data.synthetic import synthetic_dataset
+    from repro.index import snapshot as snapshot_io
+    from repro.index.sstree import SSTree
+
+    path = str(tmp_path / "shard.snap")
+    tree = SSTree.bulk_load(synthetic_dataset(40, 3, seed=3).items())
+    snapshot_io.save(tree, path)
+    return path
+
+
 class TestDrainDuringRespawn:
     def test_a_respawn_the_drain_kills_mid_boot_is_not_a_failed_spawn(
-        self, tmp_path
+        self, shard_path, monkeypatch
     ):
-        import os
-        import signal
-
-        from repro.data.synthetic import synthetic_dataset
-        from repro.index import snapshot as snapshot_io
-        from repro.index.sstree import SSTree
-
-        path = str(tmp_path / "shard.snap")
-        tree = SSTree.bulk_load(synthetic_dataset(40, 3, seed=3).items())
-        snapshot_io.save(tree, path)
         sup = Supervisor(
             SupervisorConfig(
-                query_workers=2, snapshots={"default": path}, backoff_base_s=0.05
+                query_workers=2, snapshots={"default": shard_path}, backoff_base_s=0.05
             )
         )
+
+        def stalled_boot(config):
+            time.sleep(60.0)  # until the drain SIGKILLs it: no handshake
+            raise AssertionError("the drain never stopped a booting worker")
 
         async def go():
             await sup.start()
             slot = sup._slots[0]
             try:
                 killed = slot.process
+                # A forked worker inherits this patch: the respawn stalls
+                # before its handshake for as long as the test needs.
+                monkeypatch.setattr(worker, "build_worker_app", stalled_boot)
                 os.kill(slot.pid, signal.SIGKILL)
-                # Drain once the respawn has forked and not yet handshaken.
                 deadline = asyncio.get_running_loop().time() + 10.0
-                while slot.process is killed or slot.state == "ready":
+                while slot.process is killed:
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.005)
+                assert slot.state == "dead"  # forked, not handshaken
             finally:
                 await sup.drain_and_stop()
             return slot
@@ -565,6 +578,181 @@ class TestDrainDuringRespawn:
         assert counters.get(names.SERVE_WORKERS_EXITS) == 1
         assert counters.get(names.SERVE_WORKERS_SPAWN_FAILURES, 0) == 0
         assert slot.spawn_failures == 0 and slot.state == "stopped"
+
+    def test_a_ready_frame_already_in_the_pipe_at_the_drain_is_not_a_ready_slot(
+        self, shard_path, monkeypatch
+    ):
+        sup = Supervisor(
+            SupervisorConfig(
+                query_workers=2, snapshots={"default": shard_path}, backoff_base_s=0.05
+            )
+        )
+        handshaken = asyncio.Event()
+        release = asyncio.Event()
+        read_frame_async = supervisor_module.read_frame_async
+
+        async def held_read(reader):
+            # Hands the respawn its ready frame only once the drain has
+            # stopped the slot.
+            frame = await read_frame_async(reader)
+            if frame is not None and frame.get("op") == "ready":
+                handshaken.set()
+                await release.wait()
+            return frame
+
+        async def go():
+            await sup.start()
+            slot = sup._slots[0]
+            try:
+                monitors = set(sup._tasks)
+                monkeypatch.setattr(supervisor_module, "read_frame_async", held_read)
+                os.kill(slot.pid, signal.SIGKILL)
+                await asyncio.wait_for(handshaken.wait(), timeout=10.0)
+                # The drain's step for this slot, while the respawn holds
+                # a ready frame it has not acted on yet.
+                sup._stopping = True
+                await sup._stop_worker(slot)
+                release.set()
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while sum(not task.done() for task in monitors) > 1:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.005)
+                return slot, slot.state
+            finally:
+                await sup.drain_and_stop()
+
+        with obs.enabled_scope(True), obs.scope():
+            slot, state_after_handshake = asyncio.run(go())
+            counters = obs.collect()["counters"]
+        assert state_after_handshake == "stopped"
+        assert counters.get(names.SERVE_WORKERS_SPAWNED) == 2  # the first boot
+        assert counters.get(names.SERVE_WORKERS_SPAWN_FAILURES, 0) == 0
+        assert counters.get(names.SERVE_WORKERS_RESPAWNS, 0) == 0
+        assert slot.restarts == 0 and slot.spawn_failures == 0
+
+
+def fd_links(pid):
+    """``{fd: link}`` for every fd of *pid* above stdio, from ``/proc``."""
+    directory = f"/proc/{pid}/fd"
+    return {
+        int(fd): os.readlink(f"{directory}/{fd}")
+        for fd in os.listdir(directory)
+        if int(fd) > 2
+    }
+
+
+class TestForkHygiene:
+    """What a forked worker must not share with the front."""
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="reads fd tables from /proc"
+    )
+    def test_no_worker_holds_a_socket_or_a_sibling_pipe(self, shard_path):
+        sup = Supervisor(
+            SupervisorConfig(
+                query_workers=2, snapshots={"default": shard_path}, backoff_base_s=0.05
+            )
+        )
+
+        async def go():
+            host, port = await sup.start()
+            slot = sup._slots[0]
+            try:
+                first = {pid: fd_links(pid) for pid in sup.worker_pids()}
+                # Respawn one worker while the listener and a client
+                # connection are open in the front.
+                _, writer = await asyncio.open_connection(host, port)
+                killed = slot.pid
+                os.kill(killed, signal.SIGKILL)
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while slot.pid == killed or slot.state != "ready":
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.005)
+                respawned = {pid: fd_links(pid) for pid in sup.worker_pids()}
+                writer.close()
+                return first, respawned
+            finally:
+                await sup.drain_and_stop()
+
+        for workers in asyncio.run(go()):
+            assert len(workers) == 2
+            pipes = []
+            for links in workers.values():
+                assert not [link for link in links.values() if "pipe:" not in link]
+                pipes.append(set(links.values()))
+            assert [len(own) for own in pipes] == [3, 3]  # request, reply, sentinel
+            assert not pipes[0] & pipes[1]
+
+    def test_sigterm_to_a_worker_respawns_it_and_never_drains_the_front(
+        self, shard_path
+    ):
+        from repro.serve.smoke import request
+
+        sup = Supervisor(
+            SupervisorConfig(
+                query_workers=2, snapshots={"default": shard_path}, backoff_base_s=0.05
+            )
+        )
+        body = {
+            "kind": "knn", "index": "default",
+            "center": [0.0, 0.0, 0.0], "radius": 0.1, "k": 2,
+        }
+
+        async def go():
+            # The CLI's lifecycle: the front handles SIGTERM by draining.
+            serving = asyncio.create_task(sup.serve_until_drained("127.0.0.1", 0))
+            try:
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while sup._server is None:
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.005)
+                port = sup._server.sockets[0].getsockname()[1]
+                slot = sup._slots[0]
+                # The first boot forks before the front installs its
+                # handlers; a respawn forks after, and inherits them.
+                first = slot.process
+                os.kill(first.pid, signal.SIGKILL)
+                while slot.process is first or slot.state != "ready":
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.005)
+                killed = slot.process
+                os.kill(killed.pid, signal.SIGTERM)
+                replies = []
+                while slot.process is killed or slot.state != "ready":
+                    assert loop.time() < deadline
+                    status, _, raw = await request(
+                        "127.0.0.1", port, "POST", "/query", body=body
+                    )
+                    replies.append((status, json.loads(raw).get("error")))
+                    # Under the default class's 50/s, so no reply is a 429.
+                    await asyncio.sleep(0.02)
+                readyz, _, _ = await request("127.0.0.1", port, "GET", "/readyz")
+                return killed.returncode, replies, readyz, sup.draining
+            finally:
+                sup.request_drain()
+                await serving
+
+        returncode, replies, readyz, draining = asyncio.run(go())
+        assert returncode == -signal.SIGTERM
+        assert replies and (503, "draining") not in replies
+        assert {status for status, _ in replies} <= {200, 503}
+        assert readyz == 200 and not draining
+
+    def test_the_front_starts_no_thread(self, shard_path):
+        sup = Supervisor(
+            SupervisorConfig(query_workers=2, snapshots={"default": shard_path})
+        )
+
+        async def go():
+            before = set(threading.enumerate())
+            await sup.start()
+            try:
+                return [t.name for t in set(threading.enumerate()) - before]
+            finally:
+                await sup.drain_and_stop()
+
+        assert asyncio.run(go()) == []
 
 
 class TestMutationSeqDedup:
